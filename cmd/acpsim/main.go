@@ -39,7 +39,6 @@ func run(args []string) int {
 	mode := fs.String("mode", "", "naive | wfbp | wfbp+tf (default: the paper's setting per method)")
 	workers := fs.Int("workers", 32, "number of GPUs")
 	batch := fs.Int("batch", 0, "per-GPU batch size (0 = paper default)")
-	rank := fs.Int("rank", 0, "low-rank rank (0 = paper default)")
 	network := fs.String("network", "10gbe", "1gbe | 10gbe | 100gbib")
 	bufferMB := fs.Int("buffer", 0, "fusion buffer MB (0 = 25MB default)")
 	noFusion := fs.Bool("no-fusion", false, "disable tensor fusion")
@@ -63,7 +62,6 @@ func run(args []string) int {
 		Mode:           *mode,
 		Workers:        *workers,
 		Batch:          *batch,
-		Rank:           *rank,
 		Network:        *network,
 		BufferBytes:    *bufferMB * 1024 * 1024,
 		NoFusion:       *noFusion,

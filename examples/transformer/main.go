@@ -15,12 +15,16 @@ import (
 func main() {
 	epochs := flag.Int("epochs", 10, "training epochs")
 	workers := flag.Int("workers", 4, "data-parallel workers")
-	rank := flag.Int("rank", 4, "ACP-SGD rank")
+	rank := flag.Int("rank", 4, "Power-SGD and ACP-SGD rank")
 	flag.Parse()
 
-	for _, method := range []string{"ssgd", "power", "acp"} {
+	for _, m := range []struct{ label, spec string }{
+		{"ssgd", "ssgd"},
+		{"power", fmt.Sprintf("power:rank=%d", *rank)},
+		{"acp", fmt.Sprintf("acp:rank=%d", *rank)},
+	} {
 		hist, err := core.Train(core.TrainConfig{
-			Method:         method,
+			Method:         m.spec,
 			Model:          "minitransformer",
 			Workers:        *workers,
 			BatchPerWorker: 16,
@@ -28,15 +32,14 @@ func main() {
 			LR:             0.02,
 			WarmupEpochs:   1,
 			DecayEpochs:    []int{*epochs / 2, *epochs * 3 / 4},
-			Rank:           *rank,
 			TrainExamples:  1024,
 			TestExamples:   256,
 			Classes:        4,
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", method, err)
+			log.Fatalf("%s: %v", m.spec, err)
 		}
 		fmt.Printf("%-6s  final accuracy %.1f%%  (loss %.3f)\n",
-			method, 100*hist.FinalTestAcc, hist.Stats[len(hist.Stats)-1].TrainLoss)
+			m.label, 100*hist.FinalTestAcc, hist.Stats[len(hist.Stats)-1].TrainLoss)
 	}
 }

@@ -855,7 +855,7 @@ func benchFleetEngine1000(b *testing.B) {
 func benchSimulateBERTACP32(b *testing.B) {
 	cfg := sim.Config{
 		Model:   models.BERTLarge(),
-		Method:  sim.MethodACP,
+		Spec:    compress.MustSpec("acp"),
 		Mode:    sim.ModeWFBPTF,
 		Workers: 32,
 		Net:     sim.Net10GbE(),
@@ -874,7 +874,7 @@ func interferenceCase(rate float64) func(b *testing.B) {
 		gpu := sim.DefaultGPU()
 		gpu.InterferenceRate = rate
 		cfg := sim.Config{
-			Model: models.BERTLarge(), Method: sim.MethodPower, Mode: sim.ModeWFBPTF,
+			Model: models.BERTLarge(), Spec: compress.MustSpec("power"), Mode: sim.ModeWFBPTF,
 			Workers: 32, Net: sim.Net10GbE(), GPU: gpu,
 		}
 		var total float64
@@ -894,7 +894,7 @@ func alphaCase(alpha float64) func(b *testing.B) {
 		net := sim.Net10GbE()
 		net.Alpha = alpha
 		cfg := sim.Config{
-			Model: models.BERTLarge(), Method: sim.MethodACP, Mode: sim.ModeWFBPTF,
+			Model: models.BERTLarge(), Spec: compress.MustSpec("acp"), Mode: sim.ModeWFBPTF,
 			Workers: 32, Net: net, GPU: sim.DefaultGPU(), NoFusion: true,
 		}
 		var total float64

@@ -107,69 +107,6 @@ func (c *Communicator) AllReduceSum(buf []float64) error {
 	return nil
 }
 
-// AllReduceMean is AllReduceSum followed by division by the group size.
-func (c *Communicator) AllReduceMean(buf []float64) error {
-	if err := c.AllReduceSum(buf); err != nil {
-		return err
-	}
-	inv := 1 / float64(c.t.Size())
-	for i := range buf {
-		buf[i] *= inv
-	}
-	return nil
-}
-
-// NaiveAllReduceSum is the gather-to-root + broadcast baseline (no ring).
-// Its root-link traffic is linear in p; it exists for tests and to contrast
-// with the ring implementation, as the paper contrasts naive aggregation
-// with ring all-reduce.
-func (c *Communicator) NaiveAllReduceSum(buf []float64) error {
-	p := c.t.Size()
-	if p == 1 || len(buf) == 0 {
-		return nil
-	}
-	rank := c.t.Rank()
-	if rank == 0 {
-		for src := 1; src < p; src++ {
-			data, err := c.t.Recv(src)
-			if err != nil {
-				return fmt.Errorf("comm: naive recv from %d: %w", src, err)
-			}
-			if err := floatPayloadLen(data, len(buf)); err != nil {
-				c.t.Release(data)
-				return fmt.Errorf("comm: naive gather: %w", err)
-			}
-			addFloatsFrom(buf, data)
-			c.t.Release(data)
-		}
-		// One pooled encode serves every destination: retain the buffer so
-		// all receivers may read it concurrently (shared, read-only).
-		msg := c.t.Lease(8 * len(buf))
-		encodeFloatsInto(msg, buf)
-		c.t.Retain(msg)
-		for dst := 1; dst < p; dst++ {
-			if err := c.t.SendNoCopy(dst, msg); err != nil {
-				return fmt.Errorf("comm: naive send to %d: %w", dst, err)
-			}
-		}
-		return nil
-	}
-	if err := c.sendChunkNoCopy(0, buf, 0, len(buf)); err != nil {
-		return fmt.Errorf("comm: naive send to root: %w", err)
-	}
-	data, err := c.t.Recv(0)
-	if err != nil {
-		return fmt.Errorf("comm: naive recv from root: %w", err)
-	}
-	if err := floatPayloadLen(data, len(buf)); err != nil {
-		c.t.Release(data)
-		return fmt.Errorf("comm: naive bcast: %w", err)
-	}
-	decodeFloatsInto(buf, data)
-	c.t.Release(data)
-	return nil
-}
-
 // AllGather collects every rank's byte payload (rank r's payload at
 // Payload(r)). Payload sizes may differ per rank — this is what Sign-SGD and
 // Top-k SGD need, and its per-rank traffic is (p-1)*N as in Table II.
@@ -268,13 +205,22 @@ func (c *Communicator) Broadcast(buf []float64, root int) error {
 	return nil
 }
 
-// Barrier blocks until all ranks have entered it (all-gather of empty
-// payloads).
-func (c *Communicator) Barrier() error {
-	g, err := c.AllGather(nil)
-	if err != nil {
-		return fmt.Errorf("comm: barrier: %w", err)
+// ExchangeWith sends data to peer and receives peer's payload (a symmetric
+// pairwise exchange — both ranks must call it with each other as peer).
+// This is the building block of hypercube patterns such as gTop-k's
+// merge-and-truncate reduction. The returned payload is owned by the caller
+// but read-only (see the Transport pooled-buffer contract).
+func (c *Communicator) ExchangeWith(peer int, data []byte) ([]byte, error) {
+	msg := c.t.Lease(len(data))
+	copy(msg, data)
+	if err := c.t.SendNoCopy(peer, msg); err != nil {
+		c.t.Release(msg)
+		return nil, fmt.Errorf("comm: exchange send to %d: %w", peer, err)
 	}
-	g.Release()
-	return nil
+	got, err := c.t.Recv(peer)
+	if err != nil {
+		return nil, fmt.Errorf("comm: exchange recv from %d: %w", peer, err)
+	}
+	c.t.Retain(got)
+	return got, nil
 }

@@ -75,44 +75,6 @@ func TestConformanceAllReduceSum(t *testing.T) {
 	}
 }
 
-func TestConformanceAllReduceMean(t *testing.T) {
-	const p, n = 4, 33
-	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		inputs, wantSum := makeInputs(p, n, 42)
-		runGroup(t, ts, func(c *Communicator) error {
-			buf := append([]float64(nil), inputs[c.Rank()]...)
-			if err := c.AllReduceMean(buf); err != nil {
-				return err
-			}
-			for i := range buf {
-				if math.Abs(buf[i]-wantSum[i]/p) > 1e-9 {
-					return fmt.Errorf("elem %d: got %v want %v", i, buf[i], wantSum[i]/p)
-				}
-			}
-			return nil
-		})
-	})
-}
-
-func TestConformanceNaiveAllReduceMatchesRing(t *testing.T) {
-	const p, n = 3, 97
-	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		inputs, want := makeInputs(p, n, 7)
-		runGroup(t, ts, func(c *Communicator) error {
-			buf := append([]float64(nil), inputs[c.Rank()]...)
-			if err := c.NaiveAllReduceSum(buf); err != nil {
-				return err
-			}
-			for i := range buf {
-				if math.Abs(buf[i]-want[i]) > 1e-9 {
-					return fmt.Errorf("elem %d: got %v want %v", i, buf[i], want[i])
-				}
-			}
-			return nil
-		})
-	})
-}
-
 func TestConformanceAllGatherVariableSizes(t *testing.T) {
 	const p = 4
 	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
@@ -181,83 +143,6 @@ func TestConformanceBroadcast(t *testing.T) {
 	}
 }
 
-func TestConformanceTreeBroadcast(t *testing.T) {
-	const p, n = 5, 29
-	for root := 0; root < p; root++ {
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-				want := make([]float64, n)
-				for i := range want {
-					want[i] = float64(i*i) - float64(root)
-				}
-				runGroup(t, ts, func(c *Communicator) error {
-					buf := make([]float64, n)
-					if c.Rank() == root {
-						copy(buf, want)
-					}
-					if err := c.TreeBroadcast(buf, root); err != nil {
-						return err
-					}
-					for i := range buf {
-						if buf[i] != want[i] {
-							return fmt.Errorf("rank %d elem %d: got %v want %v", c.Rank(), i, buf[i], want[i])
-						}
-					}
-					return nil
-				})
-			})
-		})
-	}
-}
-
-func TestConformanceReduceScatterSum(t *testing.T) {
-	const p, n = 4, 37
-	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		inputs, want := makeInputs(p, n, 13)
-		runGroup(t, ts, func(c *Communicator) error {
-			buf := append([]float64(nil), inputs[c.Rank()]...)
-			lo, hi, err := c.ReduceScatterSum(buf)
-			if err != nil {
-				return err
-			}
-			wlo, whi := chunkRange(n, p, (c.Rank()+1)%p)
-			if lo != wlo || hi != whi {
-				return fmt.Errorf("rank %d owns [%d,%d), want [%d,%d)", c.Rank(), lo, hi, wlo, whi)
-			}
-			for i := lo; i < hi; i++ {
-				if math.Abs(buf[i]-want[i]) > 1e-9 {
-					return fmt.Errorf("owned elem %d: got %v want %v", i, buf[i], want[i])
-				}
-			}
-			return nil
-		})
-	})
-}
-
-func TestConformanceRingAllGatherFloats(t *testing.T) {
-	const p, n = 4, 9
-	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		runGroup(t, ts, func(c *Communicator) error {
-			local := make([]float64, n)
-			for i := range local {
-				local[i] = float64(c.Rank()*100 + i)
-			}
-			got, err := c.RingAllGatherFloats(local)
-			if err != nil {
-				return err
-			}
-			for q := 0; q < p; q++ {
-				for i := 0; i < n; i++ {
-					if got[q][i] != float64(q*100+i) {
-						return fmt.Errorf("chunk %d elem %d: got %v", q, i, got[q][i])
-					}
-				}
-			}
-			return nil
-		})
-	})
-}
-
 func TestConformanceExchangeWith(t *testing.T) {
 	const p = 4
 	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
@@ -273,12 +158,6 @@ func TestConformanceExchangeWith(t *testing.T) {
 			}
 			return nil
 		})
-	})
-}
-
-func TestConformanceBarrier(t *testing.T) {
-	forEachTransport(t, 4, func(t *testing.T, ts []Transport) {
-		runGroup(t, ts, func(c *Communicator) error { return c.Barrier() })
 	})
 }
 
@@ -654,9 +533,6 @@ func TestConformanceNoLeak(t *testing.T) {
 			if err := c.AllReduceSum(buf); err != nil {
 				return err
 			}
-			if err := c.NaiveAllReduceSum(buf); err != nil {
-				return err
-			}
 			if err := c.Broadcast(buf, 0); err != nil {
 				return err
 			}
@@ -668,7 +544,7 @@ func TestConformanceNoLeak(t *testing.T) {
 				return err
 			}
 			g.Release()
-			return c.Barrier()
+			return nil
 		})
 		deadline := time.Now().Add(10 * time.Second)
 		for {

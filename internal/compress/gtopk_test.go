@@ -202,11 +202,12 @@ func TestGTopKRejectsBadLength(t *testing.T) {
 }
 
 func TestGTopKParses(t *testing.T) {
-	m, err := ParseMethod("gtopk")
-	if err != nil || m != GTopKSGD {
-		t.Fatalf("ParseMethod gtopk: %v %v", m, err)
+	spec, err := ParseSpec("gtop-k")
+	if err != nil || spec.Name != "gtopk" {
+		t.Fatalf("ParseSpec gtop-k: %v %v", spec, err)
 	}
-	if GTopKSGD.String() != "gTop-k SGD" {
-		t.Fatal("String name")
+	f, err := Lookup(spec.Name)
+	if err != nil || f.Info().Display != "gTop-k SGD" {
+		t.Fatalf("display name: %v", err)
 	}
 }

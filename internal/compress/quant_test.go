@@ -212,14 +212,15 @@ func TestTernGradDecodeValidation(t *testing.T) {
 }
 
 func TestQuantizerMethodsParse(t *testing.T) {
-	for s, want := range map[string]Method{"qsgd": QSGDMethod, "terngrad": TernGradMethod, "tern": TernGradMethod} {
-		got, err := ParseMethod(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMethod(%q)=%v,%v", s, got, err)
+	for s, want := range map[string]string{"qsgd": "QSGD", "terngrad": "TernGrad", "tern": "TernGrad"} {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", s, err)
 		}
-	}
-	if QSGDMethod.String() != "QSGD" || TernGradMethod.String() != "TernGrad" {
-		t.Fatal("missing String names")
+		f, err := Lookup(spec.Name)
+		if err != nil || f.Info().Display != want {
+			t.Fatalf("ParseSpec(%q) resolved to %q, want display name %q", s, spec.Name, want)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func (s Spec) String() string {
 }
 
 // With returns a copy of the spec with one param set (copy-on-write; the
-// receiver is unchanged). It is how legacy config fields are folded in.
+// receiver is unchanged).
 func (s Spec) With(key, value string) Spec {
 	out := Spec{Name: s.Name, Params: make(Params, len(s.Params)+1)}
 	for k, v := range s.Params {
@@ -114,12 +114,6 @@ func (s Spec) With(key, value string) Spec {
 	}
 	out.Params[strings.ToLower(key)] = value
 	return out
-}
-
-// Has reports whether the param is explicitly set.
-func (s Spec) Has(key string) bool {
-	_, ok := s.Params[key]
-	return ok
 }
 
 // withDefaults returns a Params view with defs filled in for absent keys.

@@ -39,9 +39,9 @@ func TestSpecRoundTripEveryMethod(t *testing.T) {
 	}
 }
 
-// TestSpecLegacySpellings asserts every spelling the pre-registry
-// ParseMethod accepted still parses via the Spec layer, onto the same
-// method.
+// TestSpecLegacySpellings asserts every alternative spelling a method is
+// known by parses onto the same canonical method, which carries the paper's
+// display name.
 func TestSpecLegacySpellings(t *testing.T) {
 	cases := map[string]string{
 		"ssgd": "ssgd", "sgd": "ssgd", "s-sgd": "ssgd",
@@ -62,14 +62,20 @@ func TestSpecLegacySpellings(t *testing.T) {
 		if spec.Name != want {
 			t.Fatalf("legacy spelling %q resolved to %q, want %q", spelling, spec.Name, want)
 		}
-		// And the legacy enum parser agrees.
-		m, err := ParseMethod(spelling)
-		if err != nil {
-			t.Fatalf("ParseMethod(%q): %v", spelling, err)
+	}
+	display := map[string]string{
+		"ssgd": "S-SGD", "sign": "Sign-SGD", "topk": "Top-k SGD", "power": "Power-SGD",
+		"acp": "ACP-SGD", "gtopk": "gTop-k SGD", "qsgd": "QSGD", "terngrad": "TernGrad",
+	}
+	for name, want := range display {
+		f, err := Lookup(name)
+		if err != nil || f.Info().Display != want {
+			t.Fatalf("%s: display name %v, want %q", name, err, want)
 		}
-		mspec, err := m.Spec()
-		if err != nil || mspec.Name != want {
-			t.Fatalf("ParseMethod(%q) enum maps to %q, want %q", spelling, mspec.Name, want)
+	}
+	for _, bad := range []string{"nope", "power-sgd*", "top_k"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) should fail", bad)
 		}
 	}
 }
@@ -183,29 +189,10 @@ func TestFactoriesBuildDeclaredPattern(t *testing.T) {
 func TestSpecWithIsCopyOnWrite(t *testing.T) {
 	base := MustSpec("topk:ratio=0.01")
 	mod := base.With("ef", "false")
-	if base.Has("ef") {
+	if _, set := base.Params["ef"]; set {
 		t.Fatal("With mutated the receiver")
 	}
-	if !mod.Has("ef") || mod.Params["ratio"] != "0.01" {
+	if mod.Params["ef"] != "false" || mod.Params["ratio"] != "0.01" {
 		t.Fatalf("With lost state: %v", mod)
-	}
-}
-
-func TestMethodEnumShim(t *testing.T) {
-	if SSGD.String() != "S-SGD" || GTopKSGD.String() != "gTop-k SGD" {
-		t.Fatalf("display names broken: %q %q", SSGD.String(), GTopKSGD.String())
-	}
-	if Method(99).String() != "Method(99)" {
-		t.Fatal("unknown enum String")
-	}
-	if _, err := Method(99).Spec(); err == nil {
-		t.Fatal("unknown enum should not map to a spec")
-	}
-	// DGC is registry-only: parseable as a spec, but with no enum value.
-	if _, err := ParseSpec("dgc"); err != nil {
-		t.Fatalf("dgc should parse as a spec: %v", err)
-	}
-	if _, err := ParseMethod("dgc"); err == nil {
-		t.Fatal("dgc has no legacy enum; ParseMethod should refuse")
 	}
 }

@@ -28,9 +28,11 @@ import (
 // TrainConfig configures a real distributed training run.
 type TrainConfig struct {
 	// Method is a compressor spec in the registry grammar
-	// name[:key=value,...] — e.g. "acp", "topk:ratio=0.01,selection=exact"
-	// or "dgc:ratio=0.001". compress.Names() lists the registered methods;
-	// legacy spellings ("power-sgd", "gtop-k", …) resolve as aliases.
+	// name[:key=value,...] — e.g. "acp:rank=2", "acp:ef=false",
+	// "topk:ratio=0.01,selection=exact" or "dgc:ratio=0.001". It is the
+	// only place a method's params are set; unset params take the
+	// registry's defaults. compress.Names() lists the registered methods;
+	// alternative spellings ("power-sgd", "gtop-k", …) resolve as aliases.
 	Method string
 	// Model is one of "mlp", "minivgg", "miniresnet".
 	Model string
@@ -46,11 +48,6 @@ type TrainConfig struct {
 	Momentum     float64
 	WarmupEpochs int
 	DecayEpochs  []int
-
-	Rank         int
-	TopKRatio    float64
-	DisableEF    bool
-	DisableReuse bool
 
 	TrainExamples int
 	TestExamples  int
@@ -132,9 +129,6 @@ func (c *TrainConfig) withDefaults() TrainConfig {
 	}
 	if out.DecayEpochs == nil {
 		out.DecayEpochs = []int{out.Epochs / 2, out.Epochs * 3 / 4}
-	}
-	if out.Rank == 0 {
-		out.Rank = 4
 	}
 	if out.TrainExamples == 0 {
 		out.TrainExamples = 2048
@@ -245,10 +239,6 @@ func Train(cfg TrainConfig) (*train.History, error) {
 			WarmupEpochs: c.WarmupEpochs,
 			DecayEpochs:  c.DecayEpochs,
 		},
-		RankR:          c.Rank,
-		TopKRatio:      c.TopKRatio,
-		DisableEF:      c.DisableEF,
-		DisableReuse:   c.DisableReuse,
 		Overlap:        overlapMode(c.NoOverlap),
 		PipelineChunks: c.PipelineChunks,
 		Elastic: train.ElasticConfig{
@@ -271,17 +261,15 @@ type IterationConfig struct {
 	Model string
 	// Method is a compressor spec over the simulatable methods "ssgd",
 	// "sign", "topk", "power" or "acp" (plus "power*", the WFBP+TF
-	// optimized Power-SGD of Table III). Method params thread through to
-	// the cost model: "acp:rank=256" or "topk:ratio=0.01".
+	// optimized Power-SGD of Table III). The spec goes to the cost model
+	// as is: "acp:rank=256", "acp:ef=false" or "topk:ratio=0.01".
 	Method string
 	// Mode overrides the execution mode: "naive", "wfbp", "wfbp+tf".
 	// Empty picks the paper's default for the method.
 	Mode string
 
-	Workers   int
-	Batch     int
-	Rank      int
-	TopKRatio float64
+	Workers int
+	Batch   int
 	// Network is "1gbe", "10gbe" or "100gbib" (default "10gbe").
 	Network string
 
@@ -311,7 +299,7 @@ func SimulateIteration(cfg IterationConfig) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	method, mode, mspec, err := parseSimMethod(cfg.Method, cfg.Mode)
+	mspec, mode, err := parseSimMethod(cfg.Method, cfg.Mode)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -327,24 +315,12 @@ func SimulateIteration(cfg IterationConfig) (sim.Result, error) {
 	if workers == 0 {
 		workers = 32
 	}
-	// Spec params thread into the cost model; explicit IterationConfig
-	// fields win over params, params over model defaults.
-	rank := cfg.Rank
-	if rank == 0 {
-		rank, _ = mspec.Params.Int("rank", 0)
-	}
-	ratio := cfg.TopKRatio
-	if ratio == 0 {
-		ratio, _ = mspec.Params.Float("ratio", 0)
-	}
 	return sim.Simulate(sim.Config{
 		Model:          spec,
-		Method:         method,
+		Spec:           mspec,
 		Mode:           mode,
 		Workers:        workers,
 		Batch:          cfg.Batch,
-		Rank:           rank,
-		TopKRatio:      ratio,
 		Net:            net,
 		GPU:            sim.DefaultGPU(),
 		BufferBytes:    cfg.BufferBytes,
@@ -355,12 +331,12 @@ func SimulateIteration(cfg IterationConfig) (sim.Result, error) {
 	})
 }
 
-// parseSimMethod resolves a CLI method spec and mode name to simulator
-// enums, with the paper's default execution mode per method. The method
-// name/params go through the compress registry (so aliases and param
-// validation are shared with training); sim.ByName then selects the cost
-// model for the canonical name.
-func parseSimMethod(method, mode string) (sim.Method, sim.Mode, compress.Spec, error) {
+// parseSimMethod resolves a CLI method spec and mode name. The spec goes
+// through the compress registry, so aliases and param validation are shared
+// with training; the simulator rejects methods without a cost model. An
+// empty mode is 0, the simulator's per-method paper default, except for
+// "power*", which selects WFBP+TF.
+func parseSimMethod(method, mode string) (compress.Spec, sim.Mode, error) {
 	s := strings.ToLower(strings.TrimSpace(method))
 	if s == "" {
 		s = "ssgd"
@@ -368,10 +344,10 @@ func parseSimMethod(method, mode string) (sim.Method, sim.Mode, compress.Spec, e
 	// "power*" is the simulator's spelling for WFBP+TF-optimized Power-SGD
 	// (Table III); strip the star before registry resolution.
 	head, rest, hasParams := strings.Cut(s, ":")
-	star := false
+	var defMode sim.Mode
 	switch head {
 	case "power*", "powerstar", "power-sgd*":
-		head, star = "power", true
+		head, defMode = "power", sim.ModeWFBPTF
 	}
 	s = head
 	if hasParams {
@@ -379,29 +355,21 @@ func parseSimMethod(method, mode string) (sim.Method, sim.Mode, compress.Spec, e
 	}
 	spec, err := compress.ParseSpec(s)
 	if err != nil {
-		return 0, 0, compress.Spec{}, fmt.Errorf("core: %w", err)
+		return compress.Spec{}, 0, fmt.Errorf("core: %w", err)
 	}
 	if _, spec, err = compress.Resolve(spec); err != nil {
-		return 0, 0, compress.Spec{}, fmt.Errorf("core: %w", err)
-	}
-	m, defMode, ok := sim.ByName(spec.Name)
-	if !ok {
-		return 0, 0, compress.Spec{}, fmt.Errorf("core: method %q has no simulator cost model (simulatable: %s)",
-			spec.Name, strings.Join(sim.Names(), ", "))
-	}
-	if star {
-		defMode = sim.ModeWFBPTF
+		return compress.Spec{}, 0, fmt.Errorf("core: %w", err)
 	}
 	switch strings.ToLower(mode) {
 	case "":
-		return m, defMode, spec, nil
+		return spec, defMode, nil
 	case "naive":
-		return m, sim.ModeNaive, spec, nil
+		return spec, sim.ModeNaive, nil
 	case "wfbp":
-		return m, sim.ModeWFBP, spec, nil
+		return spec, sim.ModeWFBP, nil
 	case "wfbp+tf", "wfbptf", "tf":
-		return m, sim.ModeWFBPTF, spec, nil
+		return spec, sim.ModeWFBPTF, nil
 	default:
-		return 0, 0, compress.Spec{}, fmt.Errorf("core: unknown mode %q", mode)
+		return compress.Spec{}, 0, fmt.Errorf("core: unknown mode %q", mode)
 	}
 }

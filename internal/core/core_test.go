@@ -1,8 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
 	"acpsgd/internal/sim"
 )
 
@@ -48,48 +51,75 @@ func TestSimulateIterationErrors(t *testing.T) {
 }
 
 func TestParseSimMethodDefaults(t *testing.T) {
-	m, mode, _, err := parseSimMethod("power", "")
-	if err != nil || m != sim.MethodPower || mode != sim.ModeNaive {
-		t.Fatalf("power default should be naive: %v %v %v", m, mode, err)
+	// An empty mode leaves the simulator's per-method paper default in
+	// place, except for power*, which is Power-SGD under WFBP+TF.
+	for _, c := range []struct{ method, mode string }{
+		{"power", "naive"},
+		{"power*", "wfbp+tf"},
+		{"", "wfbp+tf"},
+		{"acp", "wfbp+tf"},
+	} {
+		byDefault, err := SimulateIteration(IterationConfig{Model: "bert-base", Method: c.method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit, err := SimulateIteration(IterationConfig{Model: "bert-base", Method: c.method, Mode: c.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byDefault != explicit {
+			t.Fatalf("method %q: default mode should be %s: %+v vs %+v", c.method, c.mode, byDefault, explicit)
+		}
 	}
-	m, mode, _, err = parseSimMethod("power*", "")
-	if err != nil || m != sim.MethodPower || mode != sim.ModeWFBPTF {
-		t.Fatalf("power* default should be wfbp+tf: %v %v %v", m, mode, err)
-	}
-	m, mode, _, err = parseSimMethod("", "")
-	if err != nil || m != sim.MethodSSGD || mode != sim.ModeWFBPTF {
-		t.Fatalf("empty method should be optimized ssgd: %v %v %v", m, mode, err)
+	spec, mode, err := parseSimMethod("", "")
+	if err != nil || spec.Name != "ssgd" || mode != 0 {
+		t.Fatalf("empty method should be ssgd at its default mode: %v %v %v", spec, mode, err)
 	}
 }
 
 func TestParseSimMethodSpecParams(t *testing.T) {
 	// Spec params survive star-stripping and thread into the cost model.
-	m, mode, spec, err := parseSimMethod("power*:rank=256", "")
-	if err != nil || m != sim.MethodPower || mode != sim.ModeWFBPTF {
-		t.Fatalf("power*:rank=256: %v %v %v", m, mode, err)
+	spec, mode, err := parseSimMethod("power*:rank=256", "")
+	if err != nil || spec.Name != "power" || mode != sim.ModeWFBPTF {
+		t.Fatalf("power*:rank=256: %v %v %v", spec, mode, err)
 	}
 	if rank, _ := spec.Params.Int("rank", 0); rank != 256 {
 		t.Fatalf("rank param lost: %v", spec)
 	}
-	if _, _, _, err := parseSimMethod("ssgd:rank=4", ""); err == nil {
+	if _, _, err := parseSimMethod("ssgd:rank=4", ""); err == nil {
 		t.Fatal("ssgd declares no rank param; expected error")
 	}
-	if _, _, _, err := parseSimMethod("dgc", ""); err == nil {
-		t.Fatal("dgc has no simulator cost model; expected error")
+	_, err = SimulateIteration(IterationConfig{Model: "resnet50", Method: "dgc"})
+	if err == nil || !strings.Contains(err.Error(), "simulatable") {
+		t.Fatalf("dgc has no simulator cost model; got %v", err)
 	}
 }
 
 func TestSimulateIterationSpecParamMatchesField(t *testing.T) {
+	// The facade hands the spec to sim.Config.Spec unchanged.
 	bySpec, err := SimulateIteration(IterationConfig{Model: "bert-large", Method: "acp:rank=256"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byField, err := SimulateIteration(IterationConfig{Model: "bert-large", Method: "acp", Rank: 256})
+	byField, err := sim.Simulate(sim.Config{
+		Model:   models.BERTLarge(),
+		Spec:    compress.MustSpec("acp:rank=256"),
+		Workers: 32,
+		Net:     sim.Net10GbE(),
+		GPU:     sim.DefaultGPU(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bySpec.TotalSec != byField.TotalSec || bySpec.PayloadBytes != byField.PayloadBytes {
-		t.Fatalf("spec param and config field disagree: %+v vs %+v", bySpec, byField)
+	if bySpec != byField {
+		t.Fatalf("facade and sim.Config.Spec disagree: %+v vs %+v", bySpec, byField)
+	}
+	byDefault, err := SimulateIteration(IterationConfig{Model: "bert-large", Method: "acp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byDefault.PayloadBytes == bySpec.PayloadBytes {
+		t.Fatal("rank=256 should change the payload")
 	}
 }
 
@@ -117,13 +147,12 @@ func TestTrainRegistryMethodViaSpecString(t *testing.T) {
 
 func TestTrainSmoke(t *testing.T) {
 	hist, err := Train(TrainConfig{
-		Method:         "acp",
+		Method:         "acp:rank=2",
 		Model:          "mlp",
 		Workers:        2,
 		BatchPerWorker: 16,
 		Epochs:         4,
 		LR:             0.05,
-		Rank:           2,
 		TrainExamples:  256,
 		TestExamples:   128,
 		Classes:        4,
@@ -168,8 +197,7 @@ func TestTrainMiniTransformerParity(t *testing.T) {
 	run := func(method string) float64 {
 		hist, err := Train(TrainConfig{
 			Method: method, Model: "minitransformer",
-			Workers: 4, BatchPerWorker: 16, Epochs: 8,
-			LR: 0.02, Rank: 4,
+			Workers: 4, BatchPerWorker: 16, Epochs: 8, LR: 0.02,
 			TrainExamples: 1024, TestExamples: 256, Classes: 4,
 		})
 		if err != nil {
@@ -223,7 +251,7 @@ func TestTrainDefaultsFilledIn(t *testing.T) {
 	if cfg.Method != "acp" || cfg.Model != "mlp" || cfg.Dataset != "gaussian" {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
-	if cfg.Workers != 4 || cfg.Epochs != 20 || cfg.Rank != 4 {
+	if cfg.Workers != 4 || cfg.Epochs != 20 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
 	img := (&TrainConfig{Model: "minivgg"}).withDefaults()

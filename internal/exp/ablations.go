@@ -30,16 +30,16 @@ func AblationInterference() (*Table, error) {
 		gpu := sim.DefaultGPU()
 		gpu.InterferenceRate = rate
 		mutate := func(c *sim.Config) { c.GPU = gpu }
-		power, err := runSim(models.BERTLarge(), sim.MethodPower, sim.ModeWFBPTF, mutate)
+		power, err := runSim(models.BERTLarge(), "power", sim.ModeWFBPTF, mutate)
 		if err != nil {
 			return nil, err
 		}
-		acp, err := runSim(models.BERTLarge(), sim.MethodACP, sim.ModeWFBPTF, mutate)
+		acp, err := runSim(models.BERTLarge(), "acp", sim.ModeWFBPTF, mutate)
 		if err != nil {
 			return nil, err
 		}
 		// 1-GPU slowdown (the paper's 13% observation).
-		oneNaive, err := runSim(models.ResNet50(), sim.MethodPower, sim.ModeNaive, func(c *sim.Config) {
+		oneNaive, err := runSim(models.ResNet50(), "power", sim.ModeNaive, func(c *sim.Config) {
 			c.GPU = gpu
 			c.Workers = 1
 			c.Net = sim.Network{}
@@ -47,7 +47,7 @@ func AblationInterference() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		oneWFBP, err := runSim(models.ResNet50(), sim.MethodPower, sim.ModeWFBPTF, func(c *sim.Config) {
+		oneWFBP, err := runSim(models.ResNet50(), "power", sim.ModeWFBPTF, func(c *sim.Config) {
 			c.GPU = gpu
 			c.Workers = 1
 			c.Net = sim.Network{}
@@ -77,14 +77,14 @@ func AblationAlpha() (*Table, error) {
 	for _, alpha := range []float64{2e-6, 6e-6, 12e-6, 25e-6, 50e-6} {
 		net := sim.Net10GbE()
 		net.Alpha = alpha
-		noFusion, err := runSim(models.BERTLarge(), sim.MethodACP, sim.ModeWFBPTF, func(c *sim.Config) {
+		noFusion, err := runSim(models.BERTLarge(), "acp", sim.ModeWFBPTF, func(c *sim.Config) {
 			c.Net = net
 			c.NoFusion = true
 		})
 		if err != nil {
 			return nil, err
 		}
-		fused, err := runSim(models.BERTLarge(), sim.MethodACP, sim.ModeWFBPTF, func(c *sim.Config) {
+		fused, err := runSim(models.BERTLarge(), "acp", sim.ModeWFBPTF, func(c *sim.Config) {
 			c.Net = net
 		})
 		if err != nil {

@@ -1,15 +1,19 @@
 package exp
 
 import (
+	"fmt"
+
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 	"acpsgd/internal/sim"
 )
 
-// runSim is the shared simulation entry for the performance experiments.
-func runSim(spec *models.ModelSpec, method sim.Method, mode sim.Mode, mutate func(*sim.Config)) (sim.Result, error) {
+// runSim is the shared simulation entry for the performance experiments;
+// method is a compressor spec ("acp", "power:rank=32").
+func runSim(spec *models.ModelSpec, method string, mode sim.Mode, mutate func(*sim.Config)) (sim.Result, error) {
 	cfg := sim.Config{
 		Model:   spec,
-		Method:  method,
+		Spec:    compress.MustSpec(method),
 		Mode:    mode,
 		Workers: 32,
 		Net:     sim.Net10GbE(),
@@ -42,19 +46,19 @@ func Fig2() (*Table, error) {
 		},
 	}
 	for _, m := range models.Benchmarks() {
-		ssgd, err := runSim(m, sim.MethodSSGD, sim.ModeWFBPTF, nil)
+		ssgd, err := runSim(m, "ssgd", sim.ModeWFBPTF, nil)
 		if err != nil {
 			return nil, err
 		}
-		sign, err := runSim(m, sim.MethodSign, sim.ModeNaive, nil)
+		sign, err := runSim(m, "sign", sim.ModeNaive, nil)
 		if err != nil {
 			return nil, err
 		}
-		topk, err := runSim(m, sim.MethodTopK, sim.ModeNaive, nil)
+		topk, err := runSim(m, "topk", sim.ModeNaive, nil)
 		if err != nil {
 			return nil, err
 		}
-		power, err := runSim(m, sim.MethodPower, sim.ModeNaive, func(c *sim.Config) { c.SlowOrth = true })
+		power, err := runSim(m, "power", sim.ModeNaive, func(c *sim.Config) { c.SlowOrth = true })
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +98,7 @@ func Fig3() (*Table, error) {
 			label string
 			r     sim.Result
 		}
-		add := func(label string, method sim.Method, mode sim.Mode, slow bool) error {
+		add := func(label string, method string, mode sim.Mode, slow bool) error {
 			r, err := runSim(m, method, mode, func(c *sim.Config) { c.SlowOrth = slow })
 			if err != nil {
 				return err
@@ -105,16 +109,16 @@ func Fig3() (*Table, error) {
 			}{label, r})
 			return nil
 		}
-		if err := add("S-SGD", sim.MethodSSGD, sim.ModeWFBPTF, false); err != nil {
+		if err := add("S-SGD", "ssgd", sim.ModeWFBPTF, false); err != nil {
 			return nil, err
 		}
-		if err := add("Sign-SGD", sim.MethodSign, sim.ModeNaive, false); err != nil {
+		if err := add("Sign-SGD", "sign", sim.ModeNaive, false); err != nil {
 			return nil, err
 		}
-		if err := add("Top-k SGD", sim.MethodTopK, sim.ModeNaive, false); err != nil {
+		if err := add("Top-k SGD", "topk", sim.ModeNaive, false); err != nil {
 			return nil, err
 		}
-		if err := add("Power-SGD", sim.MethodPower, sim.ModeNaive, true); err != nil {
+		if err := add("Power-SGD", "power", sim.ModeNaive, true); err != nil {
 			return nil, err
 		}
 		breakdownRows(t, m.Name, cells)
@@ -135,19 +139,19 @@ func TableIII() (*Table, error) {
 		},
 	}
 	for _, m := range models.Benchmarks() {
-		ssgd, err := runSim(m, sim.MethodSSGD, sim.ModeWFBPTF, nil)
+		ssgd, err := runSim(m, "ssgd", sim.ModeWFBPTF, nil)
 		if err != nil {
 			return nil, err
 		}
-		power, err := runSim(m, sim.MethodPower, sim.ModeNaive, nil)
+		power, err := runSim(m, "power", sim.ModeNaive, nil)
 		if err != nil {
 			return nil, err
 		}
-		powerStar, err := runSim(m, sim.MethodPower, sim.ModeWFBPTF, nil)
+		powerStar, err := runSim(m, "power", sim.ModeWFBPTF, nil)
 		if err != nil {
 			return nil, err
 		}
-		acp, err := runSim(m, sim.MethodACP, sim.ModeWFBPTF, nil)
+		acp, err := runSim(m, "acp", sim.ModeWFBPTF, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +177,7 @@ func Fig8() (*Table, error) {
 			label string
 			r     sim.Result
 		}
-		add := func(label string, method sim.Method, mode sim.Mode) error {
+		add := func(label string, method string, mode sim.Mode) error {
 			r, err := runSim(m, method, mode, nil)
 			if err != nil {
 				return err
@@ -184,16 +188,16 @@ func Fig8() (*Table, error) {
 			}{label, r})
 			return nil
 		}
-		if err := add("S-SGD", sim.MethodSSGD, sim.ModeWFBPTF); err != nil {
+		if err := add("S-SGD", "ssgd", sim.ModeWFBPTF); err != nil {
 			return nil, err
 		}
-		if err := add("Power-SGD", sim.MethodPower, sim.ModeNaive); err != nil {
+		if err := add("Power-SGD", "power", sim.ModeNaive); err != nil {
 			return nil, err
 		}
-		if err := add("Power-SGD*", sim.MethodPower, sim.ModeWFBPTF); err != nil {
+		if err := add("Power-SGD*", "power", sim.ModeWFBPTF); err != nil {
 			return nil, err
 		}
-		if err := add("ACP-SGD", sim.MethodACP, sim.ModeWFBPTF); err != nil {
+		if err := add("ACP-SGD", "acp", sim.ModeWFBPTF); err != nil {
 			return nil, err
 		}
 		breakdownRows(t, m.Name, cells)
@@ -215,11 +219,11 @@ func Fig9() (*Table, error) {
 	for _, m := range []*models.ModelSpec{models.ResNet152(), models.BERTLarge()} {
 		for _, mc := range []struct {
 			label  string
-			method sim.Method
+			method string
 		}{
-			{"S-SGD", sim.MethodSSGD},
-			{"Power-SGD", sim.MethodPower},
-			{"ACP-SGD", sim.MethodACP},
+			{"S-SGD", "ssgd"},
+			{"Power-SGD", "power"},
+			{"ACP-SGD", "acp"},
 		} {
 			naive, err := runSim(m, mc.method, sim.ModeNaive, nil)
 			if err != nil {
@@ -255,18 +259,17 @@ func Fig10() (*Table, error) {
 	for _, rank := range []int{32, 256} {
 		for _, mb := range sizes {
 			mutate := func(c *sim.Config) {
-				c.Rank = rank
 				if mb == 0 {
 					c.NoFusion = true
 				} else {
 					c.BufferBytes = mb * 1024 * 1024
 				}
 			}
-			power, err := runSim(models.BERTLarge(), sim.MethodPower, sim.ModeWFBPTF, mutate)
+			power, err := runSim(models.BERTLarge(), fmt.Sprintf("power:rank=%d", rank), sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
-			acp, err := runSim(models.BERTLarge(), sim.MethodACP, sim.ModeWFBPTF, mutate)
+			acp, err := runSim(models.BERTLarge(), fmt.Sprintf("acp:rank=%d", rank), sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
@@ -289,12 +292,12 @@ func Fig11a() (*Table, error) {
 	for _, batch := range []int{16, 24, 32} {
 		for _, mc := range []struct {
 			label  string
-			method sim.Method
+			method string
 			mode   sim.Mode
 		}{
-			{"S-SGD", sim.MethodSSGD, sim.ModeWFBPTF},
-			{"Power-SGD", sim.MethodPower, sim.ModeWFBPTF},
-			{"ACP-SGD", sim.MethodACP, sim.ModeWFBPTF},
+			{"S-SGD", "ssgd", sim.ModeWFBPTF},
+			{"Power-SGD", "power", sim.ModeWFBPTF},
+			{"ACP-SGD", "acp", sim.ModeWFBPTF},
 		} {
 			r, err := runSim(models.ResNet152(), mc.method, mc.mode, func(c *sim.Config) { c.Batch = batch })
 			if err != nil {
@@ -319,12 +322,12 @@ func Fig11b() (*Table, error) {
 	for _, rank := range []int{32, 64, 128, 256} {
 		for _, mc := range []struct {
 			label  string
-			method sim.Method
+			method string
 		}{
-			{"Power-SGD", sim.MethodPower},
-			{"ACP-SGD", sim.MethodACP},
+			{"Power-SGD", "power"},
+			{"ACP-SGD", "acp"},
 		} {
-			r, err := runSim(models.BERTLarge(), mc.method, sim.ModeWFBPTF, func(c *sim.Config) { c.Rank = rank })
+			r, err := runSim(models.BERTLarge(), fmt.Sprintf("%s:rank=%d", mc.method, rank), sim.ModeWFBPTF, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -347,15 +350,15 @@ func Fig12() (*Table, error) {
 	for _, m := range []*models.ModelSpec{models.ResNet50(), models.BERTBase()} {
 		for _, workers := range []int{8, 16, 32, 64} {
 			mutate := func(c *sim.Config) { c.Workers = workers }
-			ssgd, err := runSim(m, sim.MethodSSGD, sim.ModeWFBPTF, mutate)
+			ssgd, err := runSim(m, "ssgd", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
-			power, err := runSim(m, sim.MethodPower, sim.ModeWFBPTF, mutate)
+			power, err := runSim(m, "power", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
-			acp, err := runSim(m, sim.MethodACP, sim.ModeWFBPTF, mutate)
+			acp, err := runSim(m, "acp", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
@@ -378,15 +381,15 @@ func Fig13() (*Table, error) {
 	for _, m := range []*models.ModelSpec{models.ResNet50(), models.BERTBase()} {
 		for _, net := range []sim.Network{sim.Net1GbE(), sim.Net10GbE(), sim.Net100GbIB()} {
 			mutate := func(c *sim.Config) { c.Net = net }
-			ssgd, err := runSim(m, sim.MethodSSGD, sim.ModeWFBPTF, mutate)
+			ssgd, err := runSim(m, "ssgd", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
-			power, err := runSim(m, sim.MethodPower, sim.ModeWFBPTF, mutate)
+			power, err := runSim(m, "power", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}
-			acp, err := runSim(m, sim.MethodACP, sim.ModeWFBPTF, mutate)
+			acp, err := runSim(m, "acp", sim.ModeWFBPTF, mutate)
 			if err != nil {
 				return nil, err
 			}

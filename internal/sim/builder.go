@@ -4,6 +4,67 @@ import (
 	"acpsgd/internal/models"
 )
 
+// costModel is one simulatable method's cost, described in one place: the
+// paper's default execution mode, the task graph the method builds, and the
+// per-tensor payload, encode/decode and memory terms that price it.
+type costModel struct {
+	mode  Mode
+	build func(*builder)
+	// payload is a tensor's per-worker communicated bytes (fp32 wire
+	// accounting as in the paper). Power-SGD's graph prices its P and Q
+	// all-reduces itself and leaves this nil.
+	payload func(*builder, tensorInfo) float64
+	// encode and decode price a gather bucket of the given element count.
+	// The all-reduce methods price compression per tensor inside their
+	// build functions and leave these nil.
+	encode, decode func(*builder, int) float64
+	// memory adds the method's device memory to base, the parameters,
+	// gradients, momentum, activations and framework overhead (nil: none).
+	memory func(cfg *Config, base float64) float64
+	// alternates marks ACP-SGD's P/Q alternation: Simulate prices both
+	// parities and averages them.
+	alternates bool
+}
+
+// costModels maps canonical compressor-registry names (see
+// internal/compress.Register) onto their cost models. Registered methods
+// without an entry (e.g. dgc) are trainable but not simulatable.
+var costModels = map[string]*costModel{
+	"ssgd": {
+		mode:    ModeWFBPTF,
+		build:   (*builder).buildSSGD,
+		payload: rawPayload,
+	},
+	"sign": {
+		mode:    ModeNaive,
+		build:   (*builder).buildGather,
+		payload: signPayload,
+		encode:  (*builder).signEncodeDur,
+		decode:  (*builder).signDecodeDur,
+		memory:  signMemory,
+	},
+	"topk": {
+		mode:    ModeNaive,
+		build:   (*builder).buildGather,
+		payload: topkPayload,
+		encode:  (*builder).topkEncodeDur,
+		decode:  (*builder).topkDecodeDur,
+		memory:  topkMemory,
+	},
+	"power": {
+		mode:   ModeNaive,
+		build:  (*builder).buildPower,
+		memory: lowRankMemory,
+	},
+	"acp": {
+		mode:       ModeWFBPTF,
+		build:      (*builder).buildACP,
+		payload:    acpPayload,
+		memory:     lowRankMemory,
+		alternates: true,
+	},
+}
+
 // tensorInfo carries the per-tensor quantities the graph builders need.
 type tensorInfo struct {
 	spec     models.TensorSpec
@@ -35,7 +96,7 @@ func newBuilder(cfg *Config) *builder {
 	bwdSec := computeSec * 2 / 3
 	b.fwdDur = fwdSec
 
-	rank := cfg.rank()
+	rank := cfg.rank
 	// Reverse (back-propagation) order.
 	for i := len(spec.Tensors) - 1; i >= 0; i-- {
 		t := spec.Tensors[i]
@@ -82,7 +143,7 @@ func (b *builder) qrCost(r int) float64 {
 // efFLOPs is the error-feedback update cost in FLOPs (P·Qᵀ plus the
 // subtraction) for an n x m tensor at rank r.
 func (b *builder) efFLOPs(n, m, r int) float64 {
-	if b.cfg.DisableEF {
+	if !b.cfg.ef {
 		return 0
 	}
 	return 2*float64(n*m*r) + float64(n*m)
@@ -152,39 +213,36 @@ func (b *builder) topkEncodeDur(elems int) float64 {
 
 func (b *builder) topkDecodeDur(elems int) float64 {
 	g := b.cfg.GPU
-	k := float64(elems) * b.cfg.topKRatio()
+	k := float64(elems) * b.cfg.ratio
 	return float64(b.cfg.Workers)*k/g.SignThroughput + g.KernelLaunch
 }
 
-// payloadBytesFor returns the per-tensor communicated bytes for the current
-// method (fp32 wire accounting as in the paper).
-func (b *builder) payloadBytesFor(t tensorInfo) float64 {
-	switch b.cfg.Method {
-	case MethodSSGD:
-		return 4 * float64(t.spec.Elems())
-	case MethodSign:
-		return float64(t.spec.Elems()) / 8
-	case MethodTopK:
-		k := float64(t.spec.Elems()) * b.cfg.topKRatio()
-		if k < 1 {
-			k = 1
-		}
-		return 8 * k
-	case MethodACP:
-		if !t.isMatrix {
-			return 4 * float64(t.spec.Elems())
-		}
-		if b.cfg.parity == 0 {
-			return 4 * float64(t.rEff*t.spec.Rows)
-		}
-		return 4 * float64(t.rEff*t.spec.Cols)
-	case MethodPower:
-		if !t.isMatrix {
-			return 4 * float64(t.spec.Elems())
-		}
-		return 4 * float64(t.rEff*(t.spec.Rows+t.spec.Cols))
+// ---- payloads ----------------------------------------------------------
+
+// rawPayload is the uncompressed fp32 tensor.
+func rawPayload(_ *builder, t tensorInfo) float64 { return 4 * float64(t.spec.Elems()) }
+
+// signPayload packs one bit per element.
+func signPayload(_ *builder, t tensorInfo) float64 { return float64(t.spec.Elems()) / 8 }
+
+// topkPayload ships k (index, value) pairs.
+func topkPayload(b *builder, t tensorInfo) float64 {
+	k := float64(t.spec.Elems()) * b.cfg.ratio
+	if k < 1 {
+		k = 1
 	}
-	return 0
+	return 8 * k
+}
+
+// acpPayload ships P (odd steps) or Q (even steps) for matrices, vectors raw.
+func acpPayload(b *builder, t tensorInfo) float64 {
+	if !t.isMatrix {
+		return rawPayload(b, t)
+	}
+	if b.cfg.parity == 0 {
+		return 4 * float64(t.rEff*t.spec.Rows)
+	}
+	return 4 * float64(t.rEff*t.spec.Cols)
 }
 
 // deferCommAfterBackward retrofits the Overlap=off schedule onto a built
@@ -277,7 +335,7 @@ func (b *builder) buildSSGD() {
 			last = b.eng.add(mainStream, kindFwdBwd, t.bwdDur)
 		}
 		for _, t := range b.tensors {
-			b.allReduce(b.payloadBytesFor(t), last)
+			b.allReduce(b.cfg.cost.payload(b, t), last)
 		}
 	default:
 		budget := b.cfg.bufferBudget(1)
@@ -291,7 +349,7 @@ func (b *builder) buildSSGD() {
 		}
 		for _, t := range b.tensors {
 			lastBwd = b.eng.add(mainStream, kindFwdBwd, t.bwdDur)
-			bucketBytes += b.payloadBytesFor(t)
+			bucketBytes += b.cfg.cost.payload(b, t)
 			if shouldFlush(budget, bucketBytes) {
 				flush()
 			}
@@ -301,20 +359,6 @@ func (b *builder) buildSSGD() {
 }
 
 // ---- Sign-SGD / Top-k SGD ----------------------------------------------
-
-func (b *builder) encodeDur(elems int) float64 {
-	if b.cfg.Method == MethodSign {
-		return b.signEncodeDur(elems)
-	}
-	return b.topkEncodeDur(elems)
-}
-
-func (b *builder) decodeDur(elems int) float64 {
-	if b.cfg.Method == MethodSign {
-		return b.signDecodeDur(elems)
-	}
-	return b.topkDecodeDur(elems)
-}
 
 func (b *builder) buildGather() {
 	b.addForward()
@@ -326,11 +370,11 @@ func (b *builder) buildGather() {
 		for _, t := range b.tensors {
 			last = b.eng.add(mainStream, kindFwdBwd, t.bwdDur)
 			elems += t.spec.Elems()
-			bytes += b.payloadBytesFor(t)
+			bytes += b.cfg.cost.payload(b, t)
 		}
-		enc := b.eng.add(mainStream, kindEncode, b.encodeDur(elems), last)
+		enc := b.eng.add(mainStream, kindEncode, b.cfg.cost.encode(b, elems), last)
 		ag := b.allGather(bytes, enc)
-		b.eng.add(mainStream, kindDecode, b.decodeDur(elems), ag)
+		b.eng.add(mainStream, kindDecode, b.cfg.cost.decode(b, elems), ag)
 	default:
 		budget := b.cfg.bufferBudget(1)
 		m := b.chunks()
@@ -355,7 +399,7 @@ func (b *builder) buildGather() {
 			bk := bucket{elems: bucketElems}
 			for c := 0; c < m; c++ {
 				chunkElems := (c+1)*bucketElems/m - c*bucketElems/m
-				enc := b.eng.add(mainStream, kindEncode, b.encodeDur(chunkElems))
+				enc := b.eng.add(mainStream, kindEncode, b.cfg.cost.encode(b, chunkElems))
 				bk.comm = append(bk.comm, b.allGather(bucketBytes/float64(m), enc))
 			}
 			buckets = append(buckets, bk)
@@ -364,7 +408,7 @@ func (b *builder) buildGather() {
 		}
 		for _, t := range b.tensors {
 			b.eng.add(mainStream, kindFwdBwd, t.bwdDur)
-			bucketBytes += b.payloadBytesFor(t)
+			bucketBytes += b.cfg.cost.payload(b, t)
 			bucketElems += t.spec.Elems()
 			if shouldFlush(budget, bucketBytes) {
 				flush()
@@ -375,7 +419,7 @@ func (b *builder) buildGather() {
 			mm := len(bk.comm)
 			for c, ag := range bk.comm {
 				chunkElems := (c+1)*bk.elems/mm - c*bk.elems/mm
-				b.eng.add(mainStream, kindDecode, b.decodeDur(chunkElems), ag)
+				b.eng.add(mainStream, kindDecode, b.cfg.cost.decode(b, chunkElems), ag)
 			}
 		}
 	}
@@ -388,7 +432,7 @@ func (b *builder) buildGather() {
 func (b *builder) acpRate() float64 {
 	spec := b.cfg.Model
 	odd := b.cfg.parity == 0
-	return float64(spec.ACPPayloadElems(b.cfg.rank(), odd)) / float64(spec.NumParams())
+	return float64(spec.ACPPayloadElems(b.cfg.rank, odd)) / float64(spec.NumParams())
 }
 
 func (b *builder) buildACP() {
@@ -409,7 +453,7 @@ func (b *builder) buildACP() {
 		comp := b.eng.add(mainStream, kindEncode, compressDur, last)
 		var lastAR *task
 		for _, t := range b.tensors {
-			lastAR = b.allReduce(b.payloadBytesFor(t), comp)
+			lastAR = b.allReduce(b.cfg.cost.payload(b, t), comp)
 		}
 		b.eng.add(mainStream, kindDecode, decompressDur, lastAR)
 	default:
@@ -442,7 +486,7 @@ func (b *builder) buildACP() {
 				lastMain = b.eng.add(mainStream, kindEncode, b.acpCompressDur(t))
 				bucketDecomp += b.acpDecompressDur(t)
 			}
-			bucketBytes += b.payloadBytesFor(t)
+			bucketBytes += b.cfg.cost.payload(b, t)
 			if shouldFlush(budget, bucketBytes) {
 				flush()
 			}
@@ -560,17 +604,26 @@ func estimateMemory(cfg *Config) float64 {
 	base := 3*4*n + // params + grads + momentum (fp32)
 		float64(cfg.batch())*cfg.Model.ActBytesPerExample +
 		0.8e9 // CUDA context + framework overhead
-	switch cfg.Method {
-	case MethodSign:
-		return base + 4*n + // error feedback
-			float64(cfg.Workers)*n // unpacked vote workspace (1 byte/elem/worker)
-	case MethodTopK:
-		k := n * cfg.topKRatio()
-		return base + 4*n + float64(cfg.Workers)*8*k
-	case MethodPower, MethodACP:
-		return base + 4*n + // error feedback
-			8*float64(cfg.Model.PowerCompressedElems(cfg.rank()))
-	default:
+	if cfg.cost.memory == nil {
 		return base
 	}
+	return cfg.cost.memory(cfg, base)
+}
+
+func signMemory(cfg *Config, base float64) float64 {
+	n := float64(cfg.Model.NumParams())
+	return base + 4*n + // error feedback
+		float64(cfg.Workers)*n // unpacked vote workspace (1 byte/elem/worker)
+}
+
+func topkMemory(cfg *Config, base float64) float64 {
+	n := float64(cfg.Model.NumParams())
+	k := n * cfg.ratio
+	return base + 4*n + float64(cfg.Workers)*8*k
+}
+
+func lowRankMemory(cfg *Config, base float64) float64 {
+	n := float64(cfg.Model.NumParams())
+	return base + 4*n + // error feedback
+		8*float64(cfg.Model.PowerCompressedElems(cfg.rank))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -38,10 +39,10 @@ type bottleneck struct {
 
 // fleetRun is the mutable state of one scenario execution.
 type fleetRun struct {
-	sc     *Scenario
-	model  *models.ModelSpec
-	method Method
-	mode   Mode
+	sc    *Scenario
+	model *models.ModelSpec
+	spec  compress.Spec
+	mode  Mode
 
 	fleet      []Node
 	alive      []bool
@@ -90,10 +91,11 @@ func RunScenarioSeed(sc *Scenario, seed int64) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	method, mode, _ := ByName(sc.Method)
-	if sc.Mode != "" {
-		mode, _ = parseMode(sc.Mode)
+	spec, err := sc.spec()
+	if err != nil {
+		return nil, err
 	}
+	mode, _ := parseMode(sc.Mode) // 0 (the method's default) when unset
 
 	// Sub-seeds keep the fleet layout and the failure history on
 	// independent streams: changing a fault rate cannot reshuffle the
@@ -107,7 +109,7 @@ func RunScenarioSeed(sc *Scenario, seed int64) (*FleetReport, error) {
 	r := &fleetRun{
 		sc:         sc,
 		model:      model,
-		method:     method,
+		spec:       spec,
 		mode:       mode,
 		fleet:      fleet,
 		alive:      make([]bool, len(fleet)),
@@ -370,12 +372,10 @@ func (r *fleetRun) config(b bottleneck) Config {
 	gpu := DefaultGPU()
 	gpu.MemoryBytes = b.memoryBytes
 	return Config{
-		Model:     &m,
-		Method:    r.method,
-		Mode:      r.mode,
-		Workers:   b.workers,
-		Rank:      r.sc.Rank,
-		TopKRatio: r.sc.TopKRatio,
+		Model:   &m,
+		Spec:    r.spec,
+		Mode:    r.mode,
+		Workers: b.workers,
 		Net: Network{
 			Name:         "fleet-bottleneck",
 			Alpha:        b.alpha,
@@ -399,8 +399,8 @@ func (r *fleetRun) priceStep() (Result, error) {
 		return Result{}, err
 	}
 	if res.OOM {
-		return Result{}, fmt.Errorf("model %s does not fit the %0.1fGB bottleneck GPU (method %v, %d workers)",
-			r.sc.Model, b.memoryBytes/1e9, r.method, b.workers)
+		return Result{}, fmt.Errorf("model %s does not fit the %0.1fGB bottleneck GPU (method %s, %d workers)",
+			r.sc.Model, b.memoryBytes/1e9, r.spec, b.workers)
 	}
 	r.stepCache[b] = res
 	return res, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -18,11 +19,15 @@ func TestNoOverlapExposesCommunication(t *testing.T) {
 	// model, exactly the paper's argument against comm-hook Power-SGD under
 	// WFBP. The monotonicity assertion holds for the methods whose
 	// compression is inline on the main stream.
-	for _, method := range []Method{MethodSSGD, MethodSign, MethodTopK, MethodACP} {
-		t.Run(method.String(), func(t *testing.T) {
+	for _, method := range []string{"ssgd", "sign", "topk", "acp"} {
+		f, err := compress.Lookup(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(f.Info().Display, func(t *testing.T) {
 			base := Config{
 				Model:   models.BERTBase(),
-				Method:  method,
+				Spec:    compress.MustSpec(method),
 				Mode:    ModeWFBPTF,
 				Workers: 32,
 				Net:     Net10GbE(),
@@ -51,7 +56,7 @@ func TestNoOverlapExposesCommunication(t *testing.T) {
 
 	// S-SGD on 10GbE is communication-bound: the gap must be strict.
 	base := Config{
-		Model: models.BERTBase(), Method: MethodSSGD, Mode: ModeWFBPTF,
+		Model: models.BERTBase(), Spec: compress.MustSpec("ssgd"), Mode: ModeWFBPTF,
 		Workers: 32, Net: Net10GbE(), GPU: DefaultGPU(),
 	}
 	overlapped, err := Simulate(base)
@@ -81,7 +86,7 @@ func TestNoOverlapExposesCommunication(t *testing.T) {
 	// Power-SGD under WFBP+TF pays stream interference; the deferred
 	// schedule must still simulate and expose at least as much comm.
 	p := Config{
-		Model: models.BERTBase(), Method: MethodPower, Mode: ModeWFBPTF,
+		Model: models.BERTBase(), Spec: compress.MustSpec("power"), Mode: ModeWFBPTF,
 		Workers: 32, Net: Net10GbE(), GPU: DefaultGPU(),
 	}
 	pOn, err := Simulate(p)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -13,23 +14,23 @@ import (
 
 func phaseCases() []struct {
 	name   string
-	method Method
+	method string
 	mode   Mode
 } {
 	return []struct {
 		name   string
-		method Method
+		method string
 		mode   Mode
 	}{
-		{"ssgd-naive", MethodSSGD, ModeNaive},
-		{"ssgd-tf", MethodSSGD, ModeWFBPTF},
-		{"sign-naive", MethodSign, ModeNaive},
-		{"topk-naive", MethodTopK, ModeNaive},
-		{"power-naive", MethodPower, ModeNaive},
-		{"power-tf", MethodPower, ModeWFBPTF},
-		{"acp-naive", MethodACP, ModeNaive},
-		{"acp-wfbp", MethodACP, ModeWFBP},
-		{"acp-tf", MethodACP, ModeWFBPTF},
+		{"ssgd-naive", "ssgd", ModeNaive},
+		{"ssgd-tf", "ssgd", ModeWFBPTF},
+		{"sign-naive", "sign", ModeNaive},
+		{"topk-naive", "topk", ModeNaive},
+		{"power-naive", "power", ModeNaive},
+		{"power-tf", "power", ModeWFBPTF},
+		{"acp-naive", "acp", ModeNaive},
+		{"acp-wfbp", "acp", ModeWFBP},
+		{"acp-tf", "acp", ModeWFBPTF},
 	}
 }
 
@@ -37,7 +38,7 @@ func TestEncodeDecodePartitionCompress(t *testing.T) {
 	for _, tc := range phaseCases() {
 		r := simulate(t, func(c *Config) {
 			c.Model = models.BERTBase()
-			c.Method = tc.method
+			c.Spec = compress.MustSpec(tc.method)
 			c.Mode = tc.mode
 		})
 		if r.OOM {
@@ -50,10 +51,10 @@ func TestEncodeDecodePartitionCompress(t *testing.T) {
 		if r.EncodeSec < 0 || r.DecodeSec < 0 {
 			t.Fatalf("%s: negative phase time: %+v", tc.name, r)
 		}
-		if tc.method == MethodSSGD && sum != 0 {
+		if tc.method == "ssgd" && sum != 0 {
 			t.Fatalf("%s: S-SGD has no compression phases, got %v", tc.name, sum)
 		}
-		if tc.method != MethodSSGD && (r.EncodeSec == 0 || r.DecodeSec == 0) {
+		if tc.method != "ssgd" && (r.EncodeSec == 0 || r.DecodeSec == 0) {
 			t.Fatalf("%s: compressed method must pay both encode and decode: %+v", tc.name, r)
 		}
 	}
@@ -63,7 +64,7 @@ func TestWireSecDominatesExposedComm(t *testing.T) {
 	for _, tc := range phaseCases() {
 		r := simulate(t, func(c *Config) {
 			c.Model = models.BERTBase()
-			c.Method = tc.method
+			c.Spec = compress.MustSpec(tc.method)
 			c.Mode = tc.mode
 		})
 		if r.OOM {
@@ -83,7 +84,7 @@ func TestNaiveModeExposesAllWireTime(t *testing.T) {
 	// compute, then compression, then communication strictly in sequence.
 	r := simulate(t, func(c *Config) {
 		c.Model = models.ResNet50()
-		c.Method = MethodSSGD
+		c.Spec = compress.MustSpec("ssgd")
 		c.Mode = ModeNaive
 	})
 	if math.Abs(r.WireSec-r.CommSec) > 1e-9 {
@@ -97,7 +98,7 @@ func TestOverlapHidesWireTime(t *testing.T) {
 	// optimized S-SGD gains.
 	r := simulate(t, func(c *Config) {
 		c.Model = models.ResNet50()
-		c.Method = MethodSSGD
+		c.Spec = compress.MustSpec("ssgd")
 		c.Mode = ModeWFBPTF
 	})
 	if r.WireSec <= r.CommSec {
@@ -108,10 +109,10 @@ func TestOverlapHidesWireTime(t *testing.T) {
 func TestEncodeOutweighsDecodeForLowRank(t *testing.T) {
 	// Power/ACP encode does two GEMMs plus an orthogonalization; decode is a
 	// single small GEMM. The split must reflect that asymmetry.
-	for _, method := range []Method{MethodPower, MethodACP} {
+	for _, method := range []string{"power", "acp"} {
 		r := simulate(t, func(c *Config) {
 			c.Model = models.BERTLarge()
-			c.Method = method
+			c.Spec = compress.MustSpec(method)
 			c.Mode = ModeNaive
 		})
 		if r.EncodeSec <= r.DecodeSec {
@@ -125,7 +126,7 @@ func TestPhaseSplitSurvivesPipelining(t *testing.T) {
 	// partition invariant must hold with pipeline chunks enabled too.
 	r := simulate(t, func(c *Config) {
 		c.Model = models.BERTLarge()
-		c.Method = MethodACP
+		c.Spec = compress.MustSpec("acp")
 		c.Mode = ModeWFBPTF
 		c.PipelineChunks = 4
 	})

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/exp"
 	"acpsgd/internal/models"
 	"acpsgd/internal/sim"
@@ -26,14 +28,6 @@ var pinModels = []string{"resnet50", "resnet152", "bert-base", "bert-large", "vg
 
 var pinNets = []string{"1gbe", "10gbe", "100gbib"}
 
-var pinMethods = map[string]sim.Method{
-	"ssgd":  sim.MethodSSGD,
-	"sign":  sim.MethodSign,
-	"topk":  sim.MethodTopK,
-	"power": sim.MethodPower,
-	"acp":   sim.MethodACP,
-}
-
 // pinConfig is the paper's 32-worker cluster running one method with the
 // given parameters; zero values leave the simulator's defaults in place.
 func pinConfig(model, method string, rank int, ratio float64, noEF bool) (sim.Config, error) {
@@ -41,15 +35,17 @@ func pinConfig(model, method string, rank int, ratio float64, noEF bool) (sim.Co
 	if err != nil {
 		return sim.Config{}, err
 	}
-	return sim.Config{
-		Model:     m,
-		Method:    pinMethods[method],
-		Workers:   32,
-		GPU:       sim.DefaultGPU(),
-		Rank:      rank,
-		TopKRatio: ratio,
-		DisableEF: noEF,
-	}, nil
+	spec := compress.Spec{Name: method}
+	if rank > 0 {
+		spec = spec.With("rank", strconv.Itoa(rank))
+	}
+	if ratio > 0 {
+		spec = spec.With("ratio", strconv.FormatFloat(ratio, 'g', -1, 64))
+	}
+	if noEF {
+		spec = spec.With("ef", "false")
+	}
+	return sim.Config{Model: m, Spec: spec, Workers: 32, GPU: sim.DefaultGPU()}, nil
 }
 
 // pinResult renders every Result field bit-exactly.

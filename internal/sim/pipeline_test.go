@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -12,10 +13,10 @@ import (
 // time — and must stay a pure graph refinement: chunks<=1 is exactly the
 // unpipelined graph, payload volume never changes.
 func TestPipelineChunksTerm(t *testing.T) {
-	base := func(method Method) Config {
+	base := func(method string) Config {
 		return Config{
 			Model:   models.BERTBase(),
-			Method:  method,
+			Spec:    compress.MustSpec(method),
 			Mode:    ModeWFBPTF,
 			Workers: 32,
 			Net:     Net10GbE(),
@@ -24,7 +25,7 @@ func TestPipelineChunksTerm(t *testing.T) {
 	}
 
 	// chunks=1 must be graph-identical to chunks=0.
-	for _, method := range []Method{MethodSSGD, MethodSign, MethodTopK, MethodACP} {
+	for _, method := range []string{"ssgd", "sign", "topk", "acp"} {
 		cfg := base(method)
 		plain, err := Simulate(cfg)
 		if err != nil {
@@ -41,7 +42,7 @@ func TestPipelineChunksTerm(t *testing.T) {
 	}
 
 	// Payload volume is invariant under chunking; only timing terms move.
-	for _, method := range []Method{MethodSSGD, MethodSign, MethodACP} {
+	for _, method := range []string{"ssgd", "sign", "acp"} {
 		cfg := base(method)
 		plain, _ := Simulate(cfg)
 		cfg.PipelineChunks = 8
@@ -57,14 +58,14 @@ func TestPipelineChunksTerm(t *testing.T) {
 	// S-SGD has no encode/decode to hide: chunking only adds alpha terms, so
 	// it must never be faster and must be strictly slower once alpha is
 	// large.
-	ssgd := base(MethodSSGD)
+	ssgd := base("ssgd")
 	plain, _ := Simulate(ssgd)
 	ssgd.PipelineChunks = 8
 	chunked, _ := Simulate(ssgd)
 	if chunked.TotalSec < plain.TotalSec-1e-9 {
 		t.Fatalf("S-SGD chunking should not help: %.6f vs %.6f", chunked.TotalSec, plain.TotalSec)
 	}
-	slowNet := base(MethodSSGD)
+	slowNet := base("ssgd")
 	slowNet.Net.Alpha = 1e-3
 	slowPlain, _ := Simulate(slowNet)
 	slowNet.PipelineChunks = 8
@@ -78,7 +79,7 @@ func TestPipelineChunksTerm(t *testing.T) {
 	// gather (Han et al.'s end-to-end finding): with a low-alpha net, the
 	// chunked graph overlaps decode with wire and must be strictly faster;
 	// the exposed (non-overlapped) communication must not grow.
-	sign := base(MethodSign)
+	sign := base("sign")
 	sign.Net.Alpha = 1e-7
 	signPlain, err := Simulate(sign)
 	if err != nil {
@@ -98,7 +99,7 @@ func TestPipelineChunksTerm(t *testing.T) {
 	}
 
 	// The knob validates.
-	bad := base(MethodSSGD)
+	bad := base("ssgd")
 	bad.PipelineChunks = -1
 	if _, err := Simulate(bad); err == nil {
 		t.Fatal("negative PipelineChunks should be rejected")

@@ -3,13 +3,14 @@ package sim
 import (
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
 func recoveryBase() (Config, RecoveryConfig) {
 	cfg := Config{
 		Model:   models.ResNet50(),
-		Method:  MethodACP,
+		Spec:    compress.MustSpec("acp"),
 		Mode:    ModeWFBPTF,
 		Workers: 32,
 		Net:     Net10GbE(),

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -88,8 +90,8 @@ type Scenario struct {
 	Steps int `json:"steps"`
 	// Model is a paper model name ("resnet50", "bert-large", ...).
 	Model string `json:"model"`
-	// Method is a simulatable canonical method name ("ssgd", "sign",
-	// "topk", "power", "acp").
+	// Method is a simulatable method name ("ssgd", "sign", "topk",
+	// "power", "acp"); Rank and TopKRatio fold into its spec params.
 	Method string `json:"method"`
 	// Mode overrides the execution mode ("naive", "wfbp", "wfbp+tf");
 	// empty uses the paper's default for the method.
@@ -141,10 +143,6 @@ func (sc *Scenario) Validate() error {
 	if _, err := models.ByName(sc.Model); err != nil {
 		return fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
-	if _, _, ok := ByName(sc.Method); !ok {
-		return fmt.Errorf("sim: scenario %q: method %q has no cost model (simulatable: %s)",
-			sc.Name, sc.Method, strings.Join(Names(), ", "))
-	}
 	if sc.Mode != "" {
 		if _, ok := parseMode(sc.Mode); !ok {
 			return fmt.Errorf("sim: scenario %q: unknown mode %q", sc.Name, sc.Mode)
@@ -152,6 +150,9 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Rank < 0 || sc.TopKRatio < 0 || sc.TopKRatio > 1 || sc.BufferMB < 0 || sc.PipelineChunks < 0 {
 		return fmt.Errorf("sim: scenario %q has negative or out-of-range method knobs", sc.Name)
+	}
+	if _, err := sc.spec(); err != nil {
+		return fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
 	if sc.Network != "" {
 		if _, ok := NetByName(sc.Network); !ok {
@@ -171,6 +172,19 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("sim: scenario %q: min_nodes %d exceeds the %d-node fleet", sc.Name, sc.Recovery.MinNodes, sc.Fleet.Nodes)
 	}
 	return nil
+}
+
+// spec folds the scenario's method fields into a resolved method spec.
+func (sc *Scenario) spec() (compress.Spec, error) {
+	spec := compress.Spec{Name: sc.Method}
+	if sc.Rank > 0 {
+		spec = spec.With("rank", strconv.Itoa(sc.Rank))
+	}
+	if sc.TopKRatio > 0 {
+		spec = spec.With("ratio", strconv.FormatFloat(sc.TopKRatio, 'g', -1, 64))
+	}
+	spec, _, err := resolveMethod(spec)
+	return spec, err
 }
 
 // defaultNet resolves the scenario-wide interconnect.

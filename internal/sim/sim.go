@@ -2,39 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
-
-// Method identifies the aggregation method being simulated.
-type Method int
-
-// Methods of the paper's evaluation.
-const (
-	MethodSSGD Method = iota + 1
-	MethodSign
-	MethodTopK
-	MethodPower
-	MethodACP
-)
-
-// String returns the paper's name for the method.
-func (m Method) String() string {
-	switch m {
-	case MethodSSGD:
-		return "S-SGD"
-	case MethodSign:
-		return "Sign-SGD"
-	case MethodTopK:
-		return "Top-k SGD"
-	case MethodPower:
-		return "Power-SGD"
-	case MethodACP:
-		return "ACP-SGD"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // Mode selects the system-optimization level (Fig. 9's three variants).
 type Mode int
@@ -72,18 +45,20 @@ const DefaultBufferBytes = 25 * 1024 * 1024
 
 // Config describes one simulated iteration.
 type Config struct {
-	Model   *models.ModelSpec
-	Method  Method
+	Model *models.ModelSpec
+	// Spec is the method in the compressor registry's grammar (see
+	// compress.ParseSpec); Names lists the methods with a cost model. The
+	// model reads three params: "rank" (unset → the model's paper default),
+	// "ratio" (unset → the paper's 0.1%) and "ef" (unset → true; false
+	// drops the error-feedback compute, a cost ablation).
+	Spec compress.Spec
+	// Mode is the execution mode (0 → the paper's default for the method).
 	Mode    Mode
 	Workers int
 	// Batch is the per-GPU batch size (0 → the model's paper default).
 	Batch int
-	// Rank is the low-rank rank (0 → the model's paper default).
-	Rank int
-	// TopKRatio is the Top-k density (0 → the paper's 0.1%).
-	TopKRatio float64
-	Net       Network
-	GPU       GPU
+	Net   Network
+	GPU   GPU
 	// BufferBytes is the fusion budget for ModeWFBPTF (0 → 25MB).
 	BufferBytes int
 	// NoFusion forces per-tensor communication even in ModeWFBPTF
@@ -92,8 +67,6 @@ type Config struct {
 	// SlowOrth uses the original Power-SGD orthogonalization cost (the
 	// §III baseline) instead of reduced QR.
 	SlowOrth bool
-	// DisableEF removes the error-feedback compute (cost ablation only).
-	DisableEF bool
 	// NoOverlap defers every collective (and post-backward pipeline stage)
 	// until the full backward pass has finished while keeping the mode's
 	// bucketing — the same schedule train.Config's Overlap=off selects, so
@@ -109,6 +82,11 @@ type Config struct {
 	// WFBP modes (ModeNaive has no per-bucket pipeline to chunk).
 	PipelineChunks int
 
+	// Resolved by validate from Spec.
+	cost  *costModel
+	rank  int
+	ratio float64
+	ef    bool
 	// parity selects ACP's P step (0) or Q step (1); Simulate averages
 	// both automatically.
 	parity int
@@ -143,10 +121,17 @@ func (cfg *Config) validate() error {
 	if cfg.Workers < 1 {
 		return fmt.Errorf("sim: workers must be >= 1, got %d", cfg.Workers)
 	}
-	switch cfg.Method {
-	case MethodSSGD, MethodSign, MethodTopK, MethodPower, MethodACP:
-	default:
-		return fmt.Errorf("sim: unknown method %v", cfg.Method)
+	spec, cost, err := resolveMethod(cfg.Spec)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	cfg.cost = cost
+	// Resolve has validated every param the method declares.
+	cfg.rank, _ = spec.Params.Int("rank", cfg.Model.DefaultRank)
+	cfg.ratio, _ = spec.Params.Float("ratio", 0.001)
+	cfg.ef, _ = spec.Params.Bool("ef", true)
+	if cfg.Mode == 0 {
+		cfg.Mode = cost.mode
 	}
 	switch cfg.Mode {
 	case ModeNaive, ModeWFBP, ModeWFBPTF:
@@ -169,18 +154,32 @@ func (cfg *Config) batch() int {
 	return cfg.Model.DefaultBatch
 }
 
-func (cfg *Config) rank() int {
-	if cfg.Rank > 0 {
-		return cfg.Rank
+// resolveMethod resolves a spec against the compressor registry (aliases,
+// param validation) and then against the cost models.
+func resolveMethod(spec compress.Spec) (compress.Spec, *costModel, error) {
+	if spec.Name == "" {
+		return compress.Spec{}, nil, fmt.Errorf("no method spec (simulatable: %s)", strings.Join(Names(), ", "))
 	}
-	return cfg.Model.DefaultRank
+	_, spec, err := compress.Resolve(spec)
+	if err != nil {
+		return compress.Spec{}, nil, err
+	}
+	cost, ok := costModels[spec.Name]
+	if !ok {
+		return compress.Spec{}, nil, fmt.Errorf("method %q has no cost model (simulatable: %s)",
+			spec.Name, strings.Join(Names(), ", "))
+	}
+	return spec, cost, nil
 }
 
-func (cfg *Config) topKRatio() float64 {
-	if cfg.TopKRatio > 0 {
-		return cfg.TopKRatio
+// Names returns the simulatable method names, sorted.
+func Names() []string {
+	out := make([]string, 0, len(costModels))
+	for name := range costModels {
+		out = append(out, name)
 	}
-	return 0.001
+	sort.Strings(out)
+	return out
 }
 
 // bufferBudget resolves the fusion budget in bytes for the given payload
@@ -212,7 +211,7 @@ func Simulate(cfg Config) (Result, error) {
 	if mem > cfg.GPU.MemoryBytes && cfg.GPU.MemoryBytes > 0 {
 		return Result{OOM: true, MemoryBytes: mem}, nil
 	}
-	if cfg.Method == MethodACP {
+	if cfg.cost.alternates {
 		cfg.parity = 0
 		a, err := simulateOnce(&cfg)
 		if err != nil {
@@ -251,16 +250,7 @@ func rawBytes(m *models.ModelSpec) float64 { return 4 * float64(m.NumParams()) }
 
 func simulateOnce(cfg *Config) (Result, error) {
 	b := newBuilder(cfg)
-	switch cfg.Method {
-	case MethodSSGD:
-		b.buildSSGD()
-	case MethodSign, MethodTopK:
-		b.buildGather()
-	case MethodACP:
-		b.buildACP()
-	case MethodPower:
-		b.buildPower()
-	}
+	cfg.cost.build(b)
 	if cfg.NoOverlap {
 		b.deferCommAfterBackward()
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
+	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 )
 
@@ -12,7 +15,7 @@ func simulate(t *testing.T, mutate func(*Config)) Result {
 	t.Helper()
 	cfg := Config{
 		Model:   models.ResNet50(),
-		Method:  MethodSSGD,
+		Spec:    compress.MustSpec("ssgd"),
 		Mode:    ModeWFBPTF,
 		Workers: 32,
 		Net:     Net10GbE(),
@@ -28,43 +31,53 @@ func simulate(t *testing.T, mutate func(*Config)) Result {
 	return r
 }
 
-func tableIIICell(t *testing.T, m *models.ModelSpec, method Method, mode Mode) float64 {
+func tableIIICell(t *testing.T, m *models.ModelSpec, method string, mode Mode) float64 {
 	t.Helper()
 	return simulate(t, func(c *Config) {
 		c.Model = m
-		c.Method = method
+		c.Spec = compress.MustSpec(method)
 		c.Mode = mode
 	}).TotalSec
 }
 
 func TestSimulateValidation(t *testing.T) {
-	bad := []Config{
-		{},
-		{Model: models.ResNet50(), Method: MethodSSGD, Mode: ModeNaive, Workers: 0, Net: Net10GbE()},
-		{Model: models.ResNet50(), Method: Method(99), Mode: ModeNaive, Workers: 2, Net: Net10GbE()},
-		{Model: models.ResNet50(), Method: MethodSSGD, Mode: Mode(99), Workers: 2, Net: Net10GbE()},
-		{Model: models.ResNet50(), Method: MethodSSGD, Mode: ModeNaive, Workers: 2}, // no network
+	ssgd := compress.MustSpec("ssgd")
+	bad := []struct {
+		cfg     Config
+		wantSub string
+	}{
+		{Config{}, "nil model"},
+		{Config{Model: models.ResNet50(), Spec: ssgd, Mode: ModeNaive, Workers: 0, Net: Net10GbE()}, "workers"},
+		{Config{Model: models.ResNet50(), Mode: ModeNaive, Workers: 2, Net: Net10GbE()}, "no method spec"},
+		{Config{Model: models.ResNet50(), Spec: compress.Spec{Name: "quantum"}, Mode: ModeNaive, Workers: 2, Net: Net10GbE()}, "unknown method"},
+		{Config{Model: models.ResNet50(), Spec: compress.MustSpec("ssgd:rank=4"), Workers: 2, Net: Net10GbE()}, `unknown param "rank"`},
+		// A registered method without a cost model names the ones that have one.
+		{Config{Model: models.ResNet50(), Spec: compress.MustSpec("dgc"), Workers: 2, Net: Net10GbE()}, "simulatable: acp, power, sign, ssgd, topk"},
+		{Config{Model: models.ResNet50(), Spec: ssgd, Mode: Mode(99), Workers: 2, Net: Net10GbE()}, "unknown mode"},
+		{Config{Model: models.ResNet50(), Spec: ssgd, Mode: ModeNaive, Workers: 2}, "network"},
 	}
-	for i, cfg := range bad {
-		if _, err := Simulate(cfg); err == nil {
-			t.Fatalf("config %d should fail", i)
+	for i, c := range bad {
+		_, err := Simulate(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Fatalf("config %d: got %v, want error containing %q", i, err, c.wantSub)
 		}
 	}
 }
 
 func TestMethodModeStrings(t *testing.T) {
-	for _, m := range []Method{MethodSSGD, MethodSign, MethodTopK, MethodPower, MethodACP} {
-		if m.String() == "" {
-			t.Fatal("missing method name")
-		}
-	}
 	for _, m := range []Mode{ModeNaive, ModeWFBP, ModeWFBPTF} {
 		if m.String() == "" {
 			t.Fatal("missing mode name")
 		}
 	}
-	if Method(9).String() != "Method(9)" || Mode(9).String() != "Mode(9)" {
+	if Mode(9).String() != "Mode(9)" {
 		t.Fatal("unknown enum strings")
+	}
+	// Method names are the registry's: every simulatable one resolves.
+	for _, name := range Names() {
+		if _, err := compress.Lookup(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -72,10 +85,10 @@ func TestMethodModeStrings(t *testing.T) {
 
 func TestTableIIIResNet50Ordering(t *testing.T) {
 	m := models.ResNet50()
-	ssgd := tableIIICell(t, m, MethodSSGD, ModeWFBPTF)
-	power := tableIIICell(t, m, MethodPower, ModeNaive)
-	powerStar := tableIIICell(t, m, MethodPower, ModeWFBPTF)
-	acp := tableIIICell(t, m, MethodACP, ModeWFBPTF)
+	ssgd := tableIIICell(t, m, "ssgd", ModeWFBPTF)
+	power := tableIIICell(t, m, "power", ModeNaive)
+	powerStar := tableIIICell(t, m, "power", ModeWFBPTF)
+	acp := tableIIICell(t, m, "acp", ModeWFBPTF)
 	// Paper: ACP (248) < S-SGD (266) < Power* (286) < Power (302).
 	if !(acp < ssgd && ssgd < powerStar && powerStar < power) {
 		t.Fatalf("ResNet-50 ordering broken: acp=%.0f ssgd=%.0f power*=%.0f power=%.0f",
@@ -89,10 +102,10 @@ func TestTableIIIResNet50Ordering(t *testing.T) {
 
 func TestTableIIIBERTBaseOrdering(t *testing.T) {
 	m := models.BERTBase()
-	ssgd := tableIIICell(t, m, MethodSSGD, ModeWFBPTF)
-	power := tableIIICell(t, m, MethodPower, ModeNaive)
-	powerStar := tableIIICell(t, m, MethodPower, ModeWFBPTF)
-	acp := tableIIICell(t, m, MethodACP, ModeWFBPTF)
+	ssgd := tableIIICell(t, m, "ssgd", ModeWFBPTF)
+	power := tableIIICell(t, m, "power", ModeNaive)
+	powerStar := tableIIICell(t, m, "power", ModeWFBPTF)
+	acp := tableIIICell(t, m, "acp", ModeWFBPTF)
 	// Paper: ACP (193) < Power (236) < Power* (292) < S-SGD (805).
 	if !(acp < power && power < powerStar && powerStar < ssgd) {
 		t.Fatalf("BERT-Base ordering broken: acp=%.0f power=%.0f power*=%.0f ssgd=%.0f",
@@ -106,10 +119,10 @@ func TestTableIIIBERTBaseOrdering(t *testing.T) {
 
 func TestTableIIIBERTLargeOrdering(t *testing.T) {
 	m := models.BERTLarge()
-	ssgd := tableIIICell(t, m, MethodSSGD, ModeWFBPTF)
-	power := tableIIICell(t, m, MethodPower, ModeNaive)
-	powerStar := tableIIICell(t, m, MethodPower, ModeWFBPTF)
-	acp := tableIIICell(t, m, MethodACP, ModeWFBPTF)
+	ssgd := tableIIICell(t, m, "ssgd", ModeWFBPTF)
+	power := tableIIICell(t, m, "power", ModeNaive)
+	powerStar := tableIIICell(t, m, "power", ModeWFBPTF)
+	acp := tableIIICell(t, m, "acp", ModeWFBPTF)
 	// Paper: ACP (245) < Power (392) < Power* (516) < S-SGD (2307).
 	if !(acp < power && power < powerStar && powerStar < ssgd) {
 		t.Fatalf("BERT-Large ordering broken: acp=%.0f power=%.0f power*=%.0f ssgd=%.0f",
@@ -127,15 +140,15 @@ func TestTableIIIBERTLargeOrdering(t *testing.T) {
 
 func TestTableIIIACPFastestEverywhere(t *testing.T) {
 	for _, m := range models.Benchmarks() {
-		acp := tableIIICell(t, m, MethodACP, ModeWFBPTF)
+		acp := tableIIICell(t, m, "acp", ModeWFBPTF)
 		for _, other := range []struct {
 			name   string
-			method Method
+			method string
 			mode   Mode
 		}{
-			{"S-SGD", MethodSSGD, ModeWFBPTF},
-			{"Power", MethodPower, ModeNaive},
-			{"Power*", MethodPower, ModeWFBPTF},
+			{"S-SGD", "ssgd", ModeWFBPTF},
+			{"Power", "power", ModeNaive},
+			{"Power*", "power", ModeWFBPTF},
 		} {
 			o := tableIIICell(t, m, other.method, other.mode)
 			if acp >= o {
@@ -155,7 +168,7 @@ func TestTableIIISSGDAbsoluteTimes(t *testing.T) {
 		"BERT-Large": 2.307,
 	}
 	for _, m := range models.Benchmarks() {
-		got := tableIIICell(t, m, MethodSSGD, ModeWFBPTF)
+		got := tableIIICell(t, m, "ssgd", ModeWFBPTF)
 		w := want[m.Name]
 		if got < 0.85*w || got > 1.15*w {
 			t.Fatalf("%s S-SGD %.0fms, paper %.0fms (outside 15%%)", m.Name, got*1e3, w*1e3)
@@ -165,25 +178,25 @@ func TestTableIIISSGDAbsoluteTimes(t *testing.T) {
 
 // --- Fig 2: gradient compression vs optimized S-SGD ----------------------
 
-func fig2Cell(t *testing.T, m *models.ModelSpec, method Method) Result {
+func fig2Cell(t *testing.T, m *models.ModelSpec, method string) Result {
 	t.Helper()
 	return simulate(t, func(c *Config) {
 		c.Model = m
-		c.Method = method
-		if method == MethodSSGD {
+		c.Spec = compress.MustSpec(method)
+		if method == "ssgd" {
 			c.Mode = ModeWFBPTF
 		} else {
 			c.Mode = ModeNaive
-			c.SlowOrth = method == MethodPower
+			c.SlowOrth = method == "power"
 		}
 	})
 }
 
 func TestFig2SignAndTopKSlowerThanSSGDOnResNet(t *testing.T) {
 	for _, m := range []*models.ModelSpec{models.ResNet50(), models.ResNet152()} {
-		ssgd := fig2Cell(t, m, MethodSSGD).TotalSec
-		sign := fig2Cell(t, m, MethodSign).TotalSec
-		topk := fig2Cell(t, m, MethodTopK).TotalSec
+		ssgd := fig2Cell(t, m, "ssgd").TotalSec
+		sign := fig2Cell(t, m, "sign").TotalSec
+		topk := fig2Cell(t, m, "topk").TotalSec
 		if sign <= ssgd || topk <= ssgd {
 			t.Fatalf("%s: compression should lose to S-SGD (ssgd=%.0f sign=%.0f topk=%.0f)",
 				m.Name, ssgd*1e3, sign*1e3, topk*1e3)
@@ -199,16 +212,16 @@ func TestFig2SignAndTopKSlowerThanSSGDOnResNet(t *testing.T) {
 
 func TestFig2PowerBestCompressorAndWinsOnBERT(t *testing.T) {
 	for _, m := range models.Benchmarks() {
-		power := fig2Cell(t, m, MethodPower)
-		sign := fig2Cell(t, m, MethodSign)
-		topk := fig2Cell(t, m, MethodTopK)
+		power := fig2Cell(t, m, "power")
+		sign := fig2Cell(t, m, "sign")
+		topk := fig2Cell(t, m, "topk")
 		if !sign.OOM && power.TotalSec >= sign.TotalSec {
 			t.Fatalf("%s: Power should beat Sign", m.Name)
 		}
 		if power.TotalSec >= topk.TotalSec {
 			t.Fatalf("%s: Power should beat Top-k", m.Name)
 		}
-		ssgd := fig2Cell(t, m, MethodSSGD)
+		ssgd := fig2Cell(t, m, "ssgd")
 		switch m.Name {
 		case "BERT-Base", "BERT-Large":
 			if power.TotalSec >= ssgd.TotalSec {
@@ -232,19 +245,19 @@ func TestFig2PowerBestCompressorAndWinsOnBERT(t *testing.T) {
 }
 
 func TestFig2SignOOMOnBERTLarge(t *testing.T) {
-	r := fig2Cell(t, models.BERTLarge(), MethodSign)
+	r := fig2Cell(t, models.BERTLarge(), "sign")
 	if !r.OOM {
 		t.Fatalf("Sign-SGD on BERT-Large at 32 workers should OOM (mem=%.1fGB)", r.MemoryBytes/1e9)
 	}
 	// ...but not on BERT-Base (the paper ran it).
-	if fig2Cell(t, models.BERTBase(), MethodSign).OOM {
+	if fig2Cell(t, models.BERTBase(), "sign").OOM {
 		t.Fatal("Sign-SGD on BERT-Base should fit")
 	}
 }
 
 func TestFig2TopKFasterThanSSGDOnBERTLarge(t *testing.T) {
-	ssgd := fig2Cell(t, models.BERTLarge(), MethodSSGD).TotalSec
-	topk := fig2Cell(t, models.BERTLarge(), MethodTopK).TotalSec
+	ssgd := fig2Cell(t, models.BERTLarge(), "ssgd").TotalSec
+	topk := fig2Cell(t, models.BERTLarge(), "topk").TotalSec
 	if topk >= ssgd {
 		t.Fatalf("Top-k (%.0fms) should beat S-SGD (%.0fms) on BERT-Large", topk*1e3, ssgd*1e3)
 	}
@@ -256,9 +269,9 @@ func TestFig3BreakdownProperties(t *testing.T) {
 	// Sign-SGD's communication exceeds S-SGD's despite 32x compression
 	// (all-gather inefficiency), and Top-k's compression dominates its
 	// communication (§III-B).
-	ssgd := fig2Cell(t, models.BERTBase(), MethodSSGD)
-	sign := fig2Cell(t, models.BERTBase(), MethodSign)
-	topk := fig2Cell(t, models.BERTBase(), MethodTopK)
+	ssgd := fig2Cell(t, models.BERTBase(), "ssgd")
+	sign := fig2Cell(t, models.BERTBase(), "sign")
+	topk := fig2Cell(t, models.BERTBase(), "topk")
 	if sign.CommSec <= ssgd.CommSec {
 		t.Fatalf("Sign comm (%.0fms) should exceed S-SGD comm (%.0fms)", sign.CommSec*1e3, ssgd.CommSec*1e3)
 	}
@@ -281,7 +294,7 @@ func TestFig3BreakdownProperties(t *testing.T) {
 
 func TestFig9SSGDAndACPImproveWithOptimizations(t *testing.T) {
 	for _, m := range []*models.ModelSpec{models.ResNet152(), models.BERTLarge()} {
-		for _, method := range []Method{MethodSSGD, MethodACP} {
+		for _, method := range []string{"ssgd", "acp"} {
 			naive := tableIIICell(t, m, method, ModeNaive)
 			wfbp := tableIIICell(t, m, method, ModeWFBP)
 			tf := tableIIICell(t, m, method, ModeWFBPTF)
@@ -299,12 +312,12 @@ func TestFig9WFBPHurtsPowerSGD(t *testing.T) {
 	// The §III-C result: overlapping Power-SGD's compression with BP causes
 	// compute interference, so WFBP alone makes Power-SGD slower.
 	for _, m := range []*models.ModelSpec{models.ResNet152(), models.BERTLarge()} {
-		naive := tableIIICell(t, m, MethodPower, ModeNaive)
-		wfbp := tableIIICell(t, m, MethodPower, ModeWFBP)
+		naive := tableIIICell(t, m, "power", ModeNaive)
+		wfbp := tableIIICell(t, m, "power", ModeWFBP)
 		if wfbp <= naive {
 			t.Fatalf("%s: Power-SGD WFBP (%.0fms) should be slower than naive (%.0fms)", m.Name, wfbp*1e3, naive*1e3)
 		}
-		tf := tableIIICell(t, m, MethodPower, ModeWFBPTF)
+		tf := tableIIICell(t, m, "power", ModeWFBPTF)
 		if tf >= wfbp {
 			t.Fatalf("%s: TF should rescue Power-SGD from WFBP (%.0f vs %.0f)", m.Name, tf*1e3, wfbp*1e3)
 		}
@@ -314,8 +327,8 @@ func TestFig9WFBPHurtsPowerSGD(t *testing.T) {
 func TestFig9ACPGainsOverNaive(t *testing.T) {
 	// §V-D: ACP-SGD with WFBP+TF achieves up to 2.14x over its naive
 	// implementation (BERT-Large).
-	naive := tableIIICell(t, models.BERTLarge(), MethodACP, ModeNaive)
-	tf := tableIIICell(t, models.BERTLarge(), MethodACP, ModeWFBPTF)
+	naive := tableIIICell(t, models.BERTLarge(), "acp", ModeNaive)
+	tf := tableIIICell(t, models.BERTLarge(), "acp", ModeWFBPTF)
 	if sp := naive / tf; sp < 1.5 || sp > 2.8 {
 		t.Fatalf("ACP optimization speedup %.2fx, paper up to 2.14x", sp)
 	}
@@ -328,8 +341,7 @@ func TestFig10ACPRobustToBufferSize(t *testing.T) {
 	run := func(rank, bufBytes int, noFusion bool) float64 {
 		return simulate(t, func(c *Config) {
 			c.Model = m
-			c.Method = MethodACP
-			c.Rank = rank
+			c.Spec = compress.MustSpec("acp").With("rank", strconv.Itoa(rank))
 			c.BufferBytes = bufBytes
 			c.NoFusion = noFusion
 		}).TotalSec
@@ -359,14 +371,12 @@ func TestFig10ACPBeatsPowerAcrossBufferSizes(t *testing.T) {
 		for _, buf := range []int{1024 * 1024, 25 * 1024 * 1024, 500 * 1024 * 1024} {
 			acp := simulate(t, func(c *Config) {
 				c.Model = m
-				c.Method = MethodACP
-				c.Rank = rank
+				c.Spec = compress.MustSpec("acp").With("rank", strconv.Itoa(rank))
 				c.BufferBytes = buf
 			}).TotalSec
 			power := simulate(t, func(c *Config) {
 				c.Model = m
-				c.Method = MethodPower
-				c.Rank = rank
+				c.Spec = compress.MustSpec("power").With("rank", strconv.Itoa(rank))
 				c.BufferBytes = buf
 			}).TotalSec
 			if acp >= power {
@@ -383,7 +393,7 @@ func TestFig11aBatchSizeTrends(t *testing.T) {
 	m := models.ResNet152()
 	speedup := func(batch int) float64 {
 		ssgd := simulate(t, func(c *Config) { c.Model = m; c.Batch = batch }).TotalSec
-		acp := simulate(t, func(c *Config) { c.Model = m; c.Method = MethodACP; c.Batch = batch }).TotalSec
+		acp := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec("acp"); c.Batch = batch }).TotalSec
 		if acp >= ssgd {
 			t.Fatalf("batch %d: ACP should beat S-SGD", batch)
 		}
@@ -405,20 +415,19 @@ func TestFig11aBatchSizeTrends(t *testing.T) {
 
 func TestFig11bRankTrends(t *testing.T) {
 	m := models.BERTLarge()
-	cell := func(method Method, rank int) Result {
+	cell := func(method string, rank int) Result {
 		return simulate(t, func(c *Config) {
 			c.Model = m
-			c.Method = method
-			c.Rank = rank
-			if method == MethodPower {
+			c.Spec = compress.MustSpec(method).With("rank", strconv.Itoa(rank))
+			if method == "power" {
 				c.Mode = ModeWFBPTF
 			}
 		})
 	}
 	prevACP, prevPower := 0.0, 0.0
 	for _, rank := range []int{32, 64, 128, 256} {
-		acp := cell(MethodACP, rank)
-		power := cell(MethodPower, rank)
+		acp := cell("acp", rank)
+		power := cell("power", rank)
 		if acp.TotalSec <= prevACP || power.TotalSec <= prevPower {
 			t.Fatalf("rank %d: times should grow with rank", rank)
 		}
@@ -428,14 +437,14 @@ func TestFig11bRankTrends(t *testing.T) {
 		}
 	}
 	// The ACP advantage grows with rank (paper: 1.9x @32 → 2.7x @256).
-	adv32 := cell(MethodPower, 32).TotalSec / cell(MethodACP, 32).TotalSec
-	adv256 := cell(MethodPower, 256).TotalSec / cell(MethodACP, 256).TotalSec
+	adv32 := cell("power", 32).TotalSec / cell("acp", 32).TotalSec
+	adv256 := cell("power", 256).TotalSec / cell("acp", 256).TotalSec
 	if adv256 <= adv32 {
 		t.Fatalf("ACP advantage should grow with rank: %.2fx @32 vs %.2fx @256", adv32, adv256)
 	}
 	// Rank 256 (5.4x compression) still beats S-SGD clearly (paper ~3.9x).
 	ssgd := simulate(t, func(c *Config) { c.Model = m }).TotalSec
-	if sp := ssgd / cell(MethodACP, 256).TotalSec; sp < 2 {
+	if sp := ssgd / cell("acp", 256).TotalSec; sp < 2 {
 		t.Fatalf("ACP rank-256 speedup over S-SGD %.2fx, want >= 2x", sp)
 	}
 }
@@ -444,9 +453,9 @@ func TestFig11bRankTrends(t *testing.T) {
 
 func TestFig12ScalingNearlyFlat(t *testing.T) {
 	for _, m := range []*models.ModelSpec{models.ResNet50(), models.BERTBase()} {
-		for _, method := range []Method{MethodSSGD, MethodACP} {
-			t8 := simulate(t, func(c *Config) { c.Model = m; c.Method = method; c.Workers = 8 }).TotalSec
-			t64 := simulate(t, func(c *Config) { c.Model = m; c.Method = method; c.Workers = 64 }).TotalSec
+		for _, method := range []string{"ssgd", "acp"} {
+			t8 := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec(method); c.Workers = 8 }).TotalSec
+			t64 := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec(method); c.Workers = 64 }).TotalSec
 			if t64 < t8 {
 				t.Fatalf("%s %v: more workers cannot be faster per iteration", m.Name, method)
 			}
@@ -462,7 +471,7 @@ func TestFig12ScalingNearlyFlat(t *testing.T) {
 func TestFig12ACPScalesBestOnBERT(t *testing.T) {
 	m := models.BERTBase()
 	for _, workers := range []int{8, 16, 32, 64} {
-		acp := simulate(t, func(c *Config) { c.Model = m; c.Method = MethodACP; c.Workers = workers }).TotalSec
+		acp := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec("acp"); c.Workers = workers }).TotalSec
 		ssgd := simulate(t, func(c *Config) { c.Model = m; c.Workers = workers }).TotalSec
 		if acp >= ssgd {
 			t.Fatalf("%d workers: ACP should beat S-SGD on BERT-Base", workers)
@@ -477,7 +486,7 @@ func TestFig13CompressionWinsGrowAsBandwidthShrinks(t *testing.T) {
 		var prev float64 = 1e18
 		for _, net := range []Network{Net1GbE(), Net10GbE(), Net100GbIB()} {
 			ssgd := simulate(t, func(c *Config) { c.Model = m; c.Net = net }).TotalSec
-			acp := simulate(t, func(c *Config) { c.Model = m; c.Method = MethodACP; c.Net = net }).TotalSec
+			acp := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec("acp"); c.Net = net }).TotalSec
 			sp := ssgd / acp
 			if sp > prev+1e-9 {
 				t.Fatalf("%s: ACP speedup should shrink with faster networks (%.2f after %.2f on %s)",
@@ -492,7 +501,7 @@ func TestFig13BERTBase1GbESpeedupLarge(t *testing.T) {
 	// Paper: ACP 23.9x over S-SGD on 1GbE BERT-Base. Require >= 8x.
 	m := models.BERTBase()
 	ssgd := simulate(t, func(c *Config) { c.Model = m; c.Net = Net1GbE() }).TotalSec
-	acp := simulate(t, func(c *Config) { c.Model = m; c.Method = MethodACP; c.Net = Net1GbE() }).TotalSec
+	acp := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec("acp"); c.Net = Net1GbE() }).TotalSec
 	if sp := ssgd / acp; sp < 8 {
 		t.Fatalf("1GbE BERT-Base ACP speedup %.1fx, want >= 8x", sp)
 	}
@@ -502,7 +511,7 @@ func TestFig13ACPStillWinsOn100Gb(t *testing.T) {
 	// Paper: ~40% improvement over S-SGD on 100Gb IB for BERT-Base.
 	m := models.BERTBase()
 	ssgd := simulate(t, func(c *Config) { c.Model = m; c.Net = Net100GbIB() }).TotalSec
-	acp := simulate(t, func(c *Config) { c.Model = m; c.Method = MethodACP; c.Net = Net100GbIB() }).TotalSec
+	acp := simulate(t, func(c *Config) { c.Model = m; c.Spec = compress.MustSpec("acp"); c.Net = Net100GbIB() }).TotalSec
 	if sp := ssgd / acp; sp < 1.05 || sp > 2.5 {
 		t.Fatalf("100GbIB BERT-Base ACP speedup %.2fx, paper ~1.4x", sp)
 	}
@@ -511,12 +520,12 @@ func TestFig13ACPStillWinsOn100Gb(t *testing.T) {
 // --- misc properties -------------------------------------------------------
 
 func TestCompressionRatioReported(t *testing.T) {
-	r := simulate(t, func(c *Config) { c.Method = MethodACP })
+	r := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("acp") })
 	// ACP's per-step ratio is ~2x Power's Table I 67x for ResNet-50 r=4.
 	if r.CompressionRat < 60 || r.CompressionRat > 250 {
 		t.Fatalf("ACP ResNet-50 compression ratio %.0fx implausible", r.CompressionRat)
 	}
-	rp := simulate(t, func(c *Config) { c.Method = MethodPower; c.Mode = ModeNaive })
+	rp := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("power"); c.Mode = ModeNaive })
 	if rp.CompressionRat < 50 || rp.CompressionRat > 90 {
 		t.Fatalf("Power ResNet-50 ratio %.0fx, Table I says 67x", rp.CompressionRat)
 	}
@@ -535,13 +544,13 @@ func TestOneGPUWFBPSlowdownForPower(t *testing.T) {
 	naive := simulate(t, func(c *Config) {
 		c.Workers = 1
 		c.Net = Network{}
-		c.Method = MethodPower
+		c.Spec = compress.MustSpec("power")
 		c.Mode = ModeNaive
 	}).TotalSec
 	wfbp := simulate(t, func(c *Config) {
 		c.Workers = 1
 		c.Net = Network{}
-		c.Method = MethodPower
+		c.Spec = compress.MustSpec("power")
 		c.Mode = ModeWFBPTF
 	}).TotalSec
 	slowdown := wfbp / naive
@@ -551,8 +560,8 @@ func TestOneGPUWFBPSlowdownForPower(t *testing.T) {
 }
 
 func TestDisableEFReducesCompressCost(t *testing.T) {
-	withEF := simulate(t, func(c *Config) { c.Method = MethodACP; c.Model = models.BERTLarge() })
-	without := simulate(t, func(c *Config) { c.Method = MethodACP; c.Model = models.BERTLarge(); c.DisableEF = true })
+	withEF := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("acp"); c.Model = models.BERTLarge() })
+	without := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("acp:ef=false"); c.Model = models.BERTLarge() })
 	if without.CompressSec >= withEF.CompressSec {
 		t.Fatalf("disabling EF should cut compression cost: %.1fms vs %.1fms",
 			without.CompressSec*1e3, withEF.CompressSec*1e3)
@@ -561,9 +570,9 @@ func TestDisableEFReducesCompressCost(t *testing.T) {
 
 func TestPayloadBytesOrdering(t *testing.T) {
 	ssgd := simulate(t, nil)
-	acp := simulate(t, func(c *Config) { c.Method = MethodACP })
-	sign := simulate(t, func(c *Config) { c.Method = MethodSign; c.Mode = ModeNaive })
-	topk := simulate(t, func(c *Config) { c.Method = MethodTopK; c.Mode = ModeNaive })
+	acp := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("acp") })
+	sign := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("sign"); c.Mode = ModeNaive })
+	topk := simulate(t, func(c *Config) { c.Spec = compress.MustSpec("topk"); c.Mode = ModeNaive })
 	if !(topk.PayloadBytes < acp.PayloadBytes && acp.PayloadBytes < sign.PayloadBytes && sign.PayloadBytes < ssgd.PayloadBytes) {
 		t.Fatalf("payload ordering broken: topk=%.0f acp=%.0f sign=%.0f ssgd=%.0f",
 			topk.PayloadBytes, acp.PayloadBytes, sign.PayloadBytes, ssgd.PayloadBytes)
