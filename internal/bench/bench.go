@@ -119,7 +119,7 @@ func Suite() []Case {
 }
 
 // PipelineChunkCounts are the chunk counts the end-to-end pipelined-step
-// bench sweeps: the unpipelined replay baseline and two pipelined depths.
+// bench sweeps: the single-chunk baseline and two pipelined depths.
 var PipelineChunkCounts = []int{0, 4, 16}
 
 // pipelinedStepCase measures one full synchronized training step of a
@@ -130,7 +130,7 @@ var PipelineChunkCounts = []int{0, 4, 16}
 // The default 25MB fusion budget fuses the whole model into ONE buffer, so
 // the unpipelined step serializes encode → wire → decode back to back at the
 // end of backward — exactly the span tensor fusion creates and chunk
-// pipelining reclaims (§III-B): with PipelineChunks>0 chunk c rides the wire
+// pipelining reclaims (§III-B): with PipelineChunks>1 chunk c rides the wire
 // while chunk c+1 is encoding and chunk c-1 is decoding. GOMAXPROCS and
 // serial kernels are pinned as in overlapStepCase.
 func pipelinedStepCase(chunks int) func(b *testing.B) {
@@ -187,10 +187,10 @@ func pipelinedStepCase(chunks int) func(b *testing.B) {
 	}
 }
 
-// benchPipelinedAllReduce4x1M is RingAllReduce4x1M through the segment-
-// pipelined schedule (8 segments): on a memory-speed transport it measures
-// the tag/segmentation overhead of the pipelined protocol relative to the
-// plain ring, which the committed baseline keeps honest.
+// benchPipelinedAllReduce4x1M is RingAllReduce4x1M with 8 pipeline segments
+// instead of one: on a memory-speed transport it measures the segmentation
+// overhead of the pipelined schedule, which the committed baseline keeps
+// honest.
 func benchPipelinedAllReduce4x1M(b *testing.B) {
 	const workers, elems, segments = 4, 1024 * 1024, 8
 	transports, err := comm.NewInprocGroup(workers, 0)
@@ -365,7 +365,7 @@ func benchAsyncAllReduce4x1M(b *testing.B) {
 	}()
 	abort := func(r int) { transports[r].Close() }
 	if err := runRanks(workers, abort, func(r int) error {
-		return asyncs[r].AllReduceSumAsync(bufs[r]).Wait()
+		return asyncs[r].AllReduceSumAsync(bufs[r], 1).Wait()
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func benchAsyncAllReduce4x1M(b *testing.B) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
-				if err := asyncs[r].AllReduceSumAsync(bufs[r]).Wait(); err != nil {
+				if err := asyncs[r].AllReduceSumAsync(bufs[r], 1).Wait(); err != nil {
 					b.Error(err)
 					transports[r].Close()
 					return

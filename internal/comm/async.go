@@ -35,24 +35,6 @@ func (p *Pending) finish(err error) {
 	close(p.done)
 }
 
-// GatherPending is the handle of an in-flight asynchronous all-gather; its
-// Wait additionally returns the gathered result (caller-owned until its
-// Release — see Communicator.AllGather).
-type GatherPending struct {
-	p Pending
-	g *Gathered
-}
-
-// Wait blocks until the all-gather completes and returns the gathered
-// result (nil on error).
-func (g *GatherPending) Wait() (*Gathered, error) {
-	<-g.p.done
-	return g.g, g.p.err
-}
-
-// Done reports, without blocking, whether the all-gather has completed.
-func (g *GatherPending) Done() bool { return g.p.Done() }
-
 // asyncOp is one queued collective: run executes it, finish completes its
 // handle. finish is called exactly once per submitted op — with run's error
 // when the op launches, or with ErrClosed when the communicator shuts down
@@ -112,13 +94,14 @@ func (a *AsyncCommunicator) Size() int { return a.c.Size() }
 // on operation order): drain every Pending first.
 func (a *AsyncCommunicator) Communicator() *Communicator { return a.c }
 
-// AllReduceSumAsync launches AllReduceSum(buf) on the communication
-// goroutine and returns immediately. buf is owned by the transport until the
-// returned handle's Wait returns.
-func (a *AsyncCommunicator) AllReduceSumAsync(buf []float64) *Pending {
+// AllReduceSumAsync launches AllReduceSumPipelined(buf, m) on the
+// communication goroutine and returns immediately; m <= 1 is the plain ring.
+// buf is owned by the transport until the returned handle's Wait returns.
+// The result is bit-identical for every m.
+func (a *AsyncCommunicator) AllReduceSumAsync(buf []float64, m int) *Pending {
 	p := &Pending{done: make(chan struct{})}
 	a.submit(asyncOp{
-		run:    func() error { return a.c.AllReduceSum(buf) },
+		run:    func() error { return a.c.AllReduceSumPipelined(buf, m) },
 		finish: p.finish,
 	})
 	return p
@@ -211,35 +194,6 @@ func (a *AsyncCommunicator) LaunchPipelinedGather(g *PipelinedGather) {
 			close(g.out)
 		},
 	})
-}
-
-// AllReduceSumPipelinedAsync launches AllReduceSumPipelined(buf, m) on the
-// communication goroutine and returns immediately. buf is owned by the
-// transport until the returned handle's Wait returns. The result is
-// bit-identical to AllReduceSumAsync for every m.
-func (a *AsyncCommunicator) AllReduceSumPipelinedAsync(buf []float64, m int) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	a.submit(asyncOp{
-		run:    func() error { return a.c.AllReduceSumPipelined(buf, m) },
-		finish: p.finish,
-	})
-	return p
-}
-
-// AllGatherAsync launches AllGather(local) on the communication goroutine
-// and returns immediately. local is owned by the transport until the
-// returned handle's Wait returns.
-func (a *AsyncCommunicator) AllGatherAsync(local []byte) *GatherPending {
-	g := &GatherPending{p: Pending{done: make(chan struct{})}}
-	a.submit(asyncOp{
-		run: func() error {
-			gathered, err := a.c.AllGather(local)
-			g.g = gathered
-			return err
-		},
-		finish: g.p.finish,
-	})
-	return g
 }
 
 // submit enqueues an operation, failing it immediately when the communicator

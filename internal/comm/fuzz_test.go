@@ -59,7 +59,7 @@ func FuzzTCPFrame(f *testing.F) {
 // element covered exactly once, sub-ranges in order, never negative-length —
 // and each segment must refine its ring chunk (so the pipelined schedule
 // preserves the unpipelined accumulation order). Empty sub-ranges are legal
-// (the tagged protocol ships a header-only message for them, so there is no
+// (the tagged protocol ships a tag-only message for them, so there is no
 // empty-send protocol violation to guard against at the transport level).
 func FuzzChunkPartition(f *testing.F) {
 	f.Add(0, 1, 1)

@@ -5,36 +5,40 @@ import (
 	"fmt"
 )
 
-// This file implements intra-buffer chunk pipelining — the third of the
-// paper's three system optimizations (overlap, tensor fusion, pipelining;
-// §III-B). A sealed fusion buffer no longer has to be encoded in full,
-// shipped in full and decoded in full: the pipelined collectives split the
-// buffer into m pipeline segments and keep several segments in flight at
-// once, so segment s+1's messages are on the wire while segment s is still
-// being reduced (or while its chunk is still being encoded/decoded by the
-// caller).
+// This file implements the ring all-reduce and the all-gather, both with
+// intra-buffer chunk pipelining — the third of the paper's three system
+// optimizations (overlap, tensor fusion, pipelining; §III-B). A sealed fusion
+// buffer no longer has to be encoded in full, shipped in full and decoded in
+// full: the collectives split the buffer into m pipeline segments and keep
+// several segments in flight at once, so segment s+1's messages are on the
+// wire while segment s is still being reduced (or while its chunk is still
+// being encoded/decoded by the caller). m = 1 is the unpipelined collective;
+// AllReduceSum and AllGather are that case.
 //
 // # Segment protocol
 //
-// Every message carries an 8-byte header — two little-endian uint32 words
-// (segment index, protocol step) — in front of the float payload. Per-link
-// delivery is FIFO and each segment's messages are sent in step order, so a
-// receiver demultiplexes by reading the tag of whatever message arrives next
-// and crediting it to that segment's state machine; no reordering buffer is
-// needed, and a tag that does not match the segment's expected next step is
-// a protocol violation surfaced as an error rather than corrupted data.
+// Every message carries an 8-byte trailer — two little-endian uint32 words
+// (segment index, protocol step) — behind the payload, so the payload starts
+// at offset 0 of the leased buffer and the float encode is one aligned copy.
+// Per-link delivery is FIFO and each segment's messages are sent in step
+// order, so a receiver demultiplexes by reading the tag of whatever message
+// arrives next and crediting it to that segment's state machine; no
+// reordering buffer is needed, and a tag that does not match the segment's
+// expected next step is a protocol violation surfaced as an error rather
+// than corrupted data.
 //
 // # Bit-identity
 //
 // AllReduceSumPipelined partitions the buffer so that every element keeps
-// the ring-chunk index it has under the unpipelined AllReduceSum: segment j
-// of ring chunk c is the j-th sub-slice of chunkRange(n, p, c). Each segment
-// then runs the standard p-1 reduce-scatter + p-1 all-gather schedule over
-// its sub-slices. Per element, the additions happen in exactly the same
-// order as the unpipelined ring (the partial for chunk c still starts at
-// rank c and travels the same path), so the pipelined result is bit-for-bit
-// identical to AllReduceSum — which is what lets the trainer's
-// PipelineChunks knob promise bit-identical models at any chunk count.
+// its ring-chunk index for every m: segment j of ring chunk c is the j-th
+// sub-slice of chunkRange(n, p, c). Each segment then runs the standard p-1
+// reduce-scatter + p-1 all-gather schedule over its sub-slices. Per element,
+// the additions happen in exactly the ring's order — the partial for chunk c
+// starts at rank c and travels the same path, so with x_r the input of rank
+// r the result is x_{(c+p-1)%p} + (… + (x_{(c+1)%p} + x_c)) — whatever m is.
+// m = 1 is the plain ring, so the result is bit-for-bit identical for every
+// m, which is what lets the trainer's PipelineChunks knob promise
+// bit-identical models at any chunk count.
 
 // pipelineWindow bounds how many segments have messages in flight at once.
 // Each in-window segment holds at most one outstanding message per link, so
@@ -42,24 +46,27 @@ import (
 // messages for the in-process transport, 256 for TCP).
 const pipelineWindow = 8
 
-// pipeTagBytes is the segment/step header prepended to every pipelined
-// message. 8 bytes keeps the float payload 8-aligned for the fused
-// decode+accumulate kernel.
+// pipeTagBytes is the segment/step trailer appended to every pipelined
+// message.
 const pipeTagBytes = 8
 
-// putPipeTag writes the (segment, step) header.
+// putPipeTag writes the (segment, step) trailer into the last pipeTagBytes
+// of msg.
 //
 //acpvet:borrows
-func putPipeTag(dst []byte, seg, step int) {
-	binary.LittleEndian.PutUint32(dst, uint32(seg))
-	binary.LittleEndian.PutUint32(dst[4:], uint32(step))
+func putPipeTag(msg []byte, seg, step int) {
+	tag := msg[len(msg)-pipeTagBytes:]
+	binary.LittleEndian.PutUint32(tag, uint32(seg))
+	binary.LittleEndian.PutUint32(tag[4:], uint32(step))
 }
 
-// pipeTag reads the (segment, step) header.
+// pipeTag reads the (segment, step) trailer of msg, which must be at least
+// pipeTagBytes long.
 //
 //acpvet:borrows
 func pipeTag(msg []byte) (seg, step int) {
-	return int(binary.LittleEndian.Uint32(msg)), int(binary.LittleEndian.Uint32(msg[4:]))
+	tag := msg[len(msg)-pipeTagBytes:]
+	return int(binary.LittleEndian.Uint32(tag)), int(binary.LittleEndian.Uint32(tag[4:]))
 }
 
 // segmentRange returns the half-open sub-range of [lo, hi) covered by
@@ -78,19 +85,18 @@ func pipeSegment(n, p, m, c, j int) (lo, hi int) {
 	return segmentRange(clo, chi, m, j)
 }
 
-// AllReduceSumPipelined is AllReduceSum with m pipeline segments in flight:
-// the buffer's ring schedule is split so that up to pipelineWindow segments
-// progress concurrently, hiding per-step wire time behind the reduction of
-// other segments. m <= 1 degenerates to the unpipelined ring. The result is
-// bit-for-bit identical to AllReduceSum for every m (see the file comment).
+// AllReduceSumPipelined sums buf element-wise across all ranks in place
+// with the ring algorithm split into m pipeline segments: up to
+// pipelineWindow segments progress concurrently, hiding per-step wire time
+// behind the reduction of other segments. m < 1 is treated as 1, the
+// unpipelined ring. The result is bit-for-bit identical for every m (see the
+// file comment).
 func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 	p := c.t.Size()
 	if p == 1 || len(buf) == 0 {
 		return nil
 	}
-	if m <= 1 {
-		return c.AllReduceSum(buf)
-	}
+	m = max(m, 1)
 	rank := c.t.Rank()
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
@@ -107,9 +113,9 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			chunk = ((rank+1-(s-(p-1)))%p + p) % p
 		}
 		lo, hi := pipeSegment(len(buf), p, m, chunk, j)
-		msg := c.t.Lease(pipeTagBytes + 8*(hi-lo))
+		msg := c.t.Lease(8*(hi-lo) + pipeTagBytes)
+		encodeFloatsInto(msg[:8*(hi-lo)], buf[lo:hi])
 		putPipeTag(msg, j, s)
-		encodeFloatsInto(msg[pipeTagBytes:], buf[lo:hi])
 		if err := c.t.SendNoCopy(next, msg); err != nil {
 			c.t.Release(msg)
 			return fmt.Errorf("comm: pipelined all-reduce send seg %d step %d: %w", j, s, err)
@@ -117,15 +123,19 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 		return nil
 	}
 
+	// Every rank runs the same schedule over FIFO links, so segments finish
+	// in index order: the segments in flight are always [completed,
+	// started), at most window of them, and segment j's next expected step
+	// lives in slot j % window.
 	window := min(m, pipelineWindow)
-	expect := make([]int, m) // next expected step per started segment
-	started := 0
+	var expect [pipelineWindow]int
+	started, completed := 0, 0
 	for ; started < window; started++ {
 		if err := send(started, 0); err != nil {
 			return err
 		}
 	}
-	for completed := 0; completed < m; {
+	for completed < m {
 		data, err := c.t.Recv(prev)
 		if err != nil {
 			return fmt.Errorf("comm: pipelined all-reduce recv: %w", err)
@@ -135,9 +145,9 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			return fmt.Errorf("comm: pipelined all-reduce short message (%d bytes)", len(data))
 		}
 		j, s := pipeTag(data)
-		if j < 0 || j >= started || s != expect[j] {
+		if j < completed || j >= started || s != expect[j%window] {
 			c.t.Release(data)
-			return fmt.Errorf("comm: pipelined all-reduce protocol violation: got seg %d step %d (started %d)", j, s, started)
+			return fmt.Errorf("comm: pipelined all-reduce protocol violation: got seg %d step %d (in flight %d..%d)", j, s, completed, started-1)
 		}
 		// Credit the message: reduce-scatter receives accumulate chunk
 		// (rank-s-1); all-gather receives overwrite chunk (rank-s').
@@ -149,30 +159,34 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			chunk = ((rank-(s-(p-1)))%p + p) % p
 		}
 		lo, hi := pipeSegment(len(buf), p, m, chunk, j)
-		if err := floatPayloadLen(data[pipeTagBytes:], hi-lo); err != nil {
+		payload := data[:len(data)-pipeTagBytes]
+		if err := floatPayloadLen(payload, hi-lo); err != nil {
 			c.t.Release(data)
 			return fmt.Errorf("comm: pipelined all-reduce seg %d step %d: %w", j, s, err)
 		}
 		if reduce {
-			addFloatsFrom(buf[lo:hi], data[pipeTagBytes:])
+			addFloatsFrom(buf[lo:hi], payload)
 		} else {
-			decodeFloatsInto(buf[lo:hi], data[pipeTagBytes:])
+			decodeFloatsInto(buf[lo:hi], payload)
 		}
 		c.t.Release(data)
-		expect[j] = s + 1
-		switch {
-		case s+1 < totalSteps:
+		if s+1 < totalSteps {
+			expect[j%window] = s + 1
 			if err := send(j, s+1); err != nil {
 				return err
 			}
-		default:
-			completed++
-			if started < m { // slide the window: admit the next segment
-				if err := send(started, 0); err != nil {
-					return err
-				}
-				started++
+			continue
+		}
+		if j != completed {
+			return fmt.Errorf("comm: pipelined all-reduce protocol violation: seg %d finished before seg %d", j, completed)
+		}
+		completed++
+		if started < m { // slide the window: the next segment takes the freed slot
+			expect[started%window] = 0
+			if err := send(started, 0); err != nil {
+				return err
 			}
+			started++
 		}
 	}
 	return nil
@@ -194,7 +208,10 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	}
 	p := c.t.Size()
 	rank := c.t.Rank()
-	selfViews := make([]*Gathered, m)
+	// Chunks complete in order and at most pipelineWindow are in flight
+	// ([i, produced) below), so chunk i's handle is staged in slot
+	// i % pipelineWindow.
+	var staged [pipelineWindow]*Gathered
 
 	// produceAndSend builds chunk i's local blob and forwards it to every
 	// peer with the (chunk, 0) tag; the transport buffers the wire side, so
@@ -202,30 +219,35 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	produceAndSend := func(i int) error {
 		blob := source(i)
 		g := newGathered(c.t, p)
-		selfViews[i] = g
+		staged[i%pipelineWindow] = g
 		if p == 1 {
 			self := c.t.Lease(len(blob))
 			copy(self, blob)
 			g.setPayload(rank, self, self)
 			return nil
 		}
-		//acpvet:ignore p>1 here, so the peer-send loop always runs and settles msg on every path
-		msg := c.t.Lease(pipeTagBytes + len(blob))
-		putPipeTag(msg, i, 0)
-		copy(msg[pipeTagBytes:], blob)
+		var msg []byte
 		if p > 2 {
-			c.t.Retain(msg) // shared across several receivers
-			g.setPayload(rank, msg[pipeTagBytes:], msg)
+			// Shared by several receivers, msg can never return to the pool:
+			// allocate it at its exact size rather than lease and retain a
+			// power-of-two class, which the tag would double for a
+			// power-of-two blob. The sender reads its own copy as the self view.
+			msg = make([]byte, len(blob)+pipeTagBytes)
+			g.setPayload(rank, msg[:len(blob)], nil)
 		} else {
+			//acpvet:ignore p>1 here, so the peer-send loop always runs and settles msg on every path
+			msg = c.t.Lease(len(blob) + pipeTagBytes)
 			self := c.t.Lease(len(blob))
 			copy(self, blob)
 			g.setPayload(rank, self, self)
 		}
+		copy(msg, blob)
+		putPipeTag(msg, i, 0)
 		for d := 1; d < p; d++ {
 			to := (rank + d) % p
 			if err := c.t.SendNoCopy(to, msg); err != nil {
 				// Failed handoff: the p==2 lease is still ours; on p>2 the
-				// buffer is retained and Release is a safe no-op.
+				// buffer is not pooled and Release is a safe no-op.
 				c.t.Release(msg)
 				return fmt.Errorf("comm: pipelined all-gather send chunk %d to %d: %w", i, to, err)
 			}
@@ -241,7 +263,7 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	// guarantees peers' chunks arrive in order; the tag is verified, not
 	// trusted); the sink consumes chunk i while later chunks are still being
 	// produced and delivered.
-	abort := func() { abortGathers(selfViews) }
+	abort := func() { abortGathers(staged[:]) }
 	produced := 0
 	for ; produced < min(m, pipelineWindow); produced++ {
 		if err := produceAndSend(produced); err != nil {
@@ -250,7 +272,7 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 		}
 	}
 	for i := 0; i < m; i++ {
-		g := selfViews[i]
+		g := staged[i%pipelineWindow]
 		for d := 1; d < p; d++ {
 			from := (rank - d + p) % p
 			data, err := c.t.Recv(from)
@@ -268,10 +290,10 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 				abort()
 				return fmt.Errorf("comm: pipelined all-gather protocol violation: got chunk %d from %d, want %d", chunk, from, i)
 			}
-			g.setPayload(from, data[pipeTagBytes:], data)
+			g.setPayload(from, data[:len(data)-pipeTagBytes], data)
 		}
 		g.finish()
-		selfViews[i] = nil // ownership passes to the sink
+		staged[i%pipelineWindow] = nil // ownership passes to the sink
 		if err := sink(i, g); err != nil {
 			abort()
 			return fmt.Errorf("comm: pipelined all-gather sink chunk %d: %w", i, err)

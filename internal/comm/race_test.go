@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -194,50 +195,64 @@ func TestAllGatherSharedPayloads(t *testing.T) {
 	}
 }
 
-// TestRingAllReduceSteadyStateAllocFree leases and releases through enough
-// iterations that the pool must have converged, then checks the free lists
-// are actually being hit (no unbounded growth of outstanding buffers).
+// TestRingAllReduceSteadyStateAllocFree: once the pool has warmed, a ring
+// all-reduce round allocates nothing — at m=1 (the plain ring) and at m=4 —
+// and the count of outstanding pool buffers stops growing. Each rank runs on
+// a persistent goroutine driven through channels, so the harness spawns no
+// goroutines inside the measured rounds.
 func TestRingAllReduceSteadyStateAllocFree(t *testing.T) {
 	const p = 4
-	transports, err := NewInprocGroup(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer transports[0].Close()
-	comms := make([]*Communicator, p)
-	bufs := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		comms[r] = NewCommunicator(transports[r])
-		bufs[r] = make([]float64, 4096)
-	}
-	round := func() {
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if err := comms[r].AllReduceSum(bufs[r]); err != nil {
-					t.Error(err)
+	for _, m := range []int{1, 4} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			transports, err := NewInprocGroup(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer transports[0].Close()
+			start := make([]chan struct{}, p)
+			done := make(chan error, p)
+			for r := 0; r < p; r++ {
+				start[r] = make(chan struct{})
+				c := NewCommunicator(transports[r])
+				buf := make([]float64, 4096)
+				go func(start <-chan struct{}) {
+					for range start {
+						done <- c.AllReduceSumPipelined(buf, m)
+					}
+				}(start[r])
+			}
+			defer func() {
+				for _, ch := range start {
+					close(ch)
 				}
-			}(r)
-		}
-		wg.Wait()
-	}
-	for i := 0; i < 3; i++ {
-		round() // warm the pool
-	}
-	g := transports[0].(*inprocTransport).g
-	g.pool.mu.Lock()
-	outstandingAfterWarmup := len(g.pool.out)
-	g.pool.mu.Unlock()
-	for i := 0; i < 20; i++ {
-		round()
-	}
-	g.pool.mu.Lock()
-	outstanding := len(g.pool.out)
-	g.pool.mu.Unlock()
-	if outstanding > outstandingAfterWarmup+p {
-		t.Errorf("outstanding pool buffers grew from %d to %d: collectives are leaking leases",
-			outstandingAfterWarmup, outstanding)
+			}()
+			round := func() {
+				for _, ch := range start {
+					ch <- struct{}{}
+				}
+				for range start {
+					if err := <-done; err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			for i := 0; i < 3; i++ {
+				round() // warm the pool
+			}
+			g := transports[0].(*inprocTransport).g
+			g.pool.mu.Lock()
+			outstandingAfterWarmup := len(g.pool.out)
+			g.pool.mu.Unlock()
+			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+				t.Errorf("%v allocs per steady-state round, want 0", allocs)
+			}
+			g.pool.mu.Lock()
+			outstanding := len(g.pool.out)
+			g.pool.mu.Unlock()
+			if outstanding > outstandingAfterWarmup+p {
+				t.Errorf("outstanding pool buffers grew from %d to %d: collectives are leaking leases",
+					outstandingAfterWarmup, outstanding)
+			}
+		})
 	}
 }

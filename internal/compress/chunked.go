@@ -84,9 +84,10 @@ func Chunked(comp GatherCompressor, n int) ChunkedGatherCompressor {
 // chunkedFallback gives chunk pipelining to compressors without native
 // support: EncodeChunk(0) runs the full unchunked Encode and serves byte
 // ranges of the payload as chunks; DecodeChunk reassembles every rank's
-// ranges and runs the full unchunked Decode on the final chunk. Only the
-// wire time pipelines — encode happens up front and decode at the end — but
-// bit-identity with the unchunked path holds trivially.
+// ranges and runs the full unchunked Decode on the final chunk (a single
+// chunk goes straight to Decode, uncopied). Only the wire time pipelines —
+// encode happens up front and decode at the end — but bit-identity with the
+// unchunked path holds trivially.
 type chunkedFallback struct {
 	inner GatherCompressor
 	n     int
@@ -120,6 +121,9 @@ func (f *chunkedFallback) EncodeChunk(step int, grad []float64, bounds []int, c 
 
 func (f *chunkedFallback) DecodeChunk(step int, blobs [][]byte, grad []float64, bounds []int, c int) error {
 	m := len(bounds) - 1
+	if m == 1 { // the chunk is the whole payload: nothing to reassemble
+		return f.inner.Decode(step, blobs, grad)
+	}
 	if c == 0 {
 		f.asm = grownChunkBufs(f.asm, len(blobs))
 		for r := range f.asm {

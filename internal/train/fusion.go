@@ -45,25 +45,16 @@ type gatherEntry struct {
 
 // gatherBuffer packs the raw gradients of nearby layers, compresses the
 // packed vector (the paper packs gradients together before compressing,
-// §III-A) and all-gathers the encoded payload — in one piece on the
-// unpipelined path, or chunk-by-chunk when PipelineChunks is set.
+// §III-A) and all-gathers the encoded payload chunk by chunk: chunk c of the
+// packed vector covers bounds[c]:bounds[c+1], the chunks stream through one
+// pipelined gather collective and decode in drain as each lands.
 type gatherBuffer struct {
-	packed  []float64
-	entries []gatherEntry
-	index   int // stable buffer index for per-buffer compressor state
-	pending *comm.GatherPending
-	// gathered holds the sealed all-gather result from drain until finalize
-	// decodes and releases it.
-	gathered *comm.Gathered
-	err      error
-
-	// Chunk-pipelined state (PipelineChunks > 1): chunk c of the packed
-	// vector covers bounds[c]:bounds[c+1]; the chunks stream through one
-	// pipelined gather collective and decode in drain as each lands, so when
-	// these are set the buffer skips finalize's whole-buffer decode.
+	packed    []float64
+	entries   []gatherEntry
+	index     int // stable buffer index for per-buffer compressor state
 	bounds    []int
 	pipedGath *comm.PipelinedGather
-	decoded   bool
+	err       error
 }
 
 // fusionGroup accumulates payloads into buffers of at most budget bytes and

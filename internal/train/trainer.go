@@ -73,10 +73,10 @@ type Config struct {
 	// third system optimization, §III-B): a sealed buffer is encoded,
 	// shipped and decoded in PipelineChunks chunks so compression compute
 	// overlaps wire time inside every buffer. Additive buffers run the
-	// pipelined ring all-reduce; gather buffers launch one collective per
-	// encoded chunk and decode chunks as they land. 0 (or 1) keeps today's
-	// unpipelined path. Every chunk count produces bit-identical models —
-	// the unpipelined path is the replay baseline, asserted in tests.
+	// pipelined ring all-reduce; gather buffers stream encoded chunks
+	// through one pipelined all-gather and decode chunks as they land. 0
+	// and 1 both run one chunk through the same path. Every chunk count
+	// produces bit-identical models, asserted in tests.
 	PipelineChunks int
 
 	// CheckNumerics arms the numeric-health guard: every step each worker

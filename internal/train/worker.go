@@ -53,13 +53,14 @@ type worker struct {
 	totalElems   int
 	// Per-tensor compressor state, built lazily through cfg.fac. Exactly
 	// one of these is populated, per the method's Scope and Pattern.
-	additive   map[*nn.Param]compress.AdditiveCompressor
-	blocking   map[*nn.Param]compress.BlockingCompressor
+	additive map[*nn.Param]compress.AdditiveCompressor
+	blocking map[*nn.Param]compress.BlockingCompressor
+	// gatherComp owns each gather buffer's compressor state (what
+	// checkpoints export); chunked holds the chunk-pipelined view of it
+	// that sealing and draining run.
 	gatherComp map[int]compress.GatherCompressor
+	chunked    map[int]compress.ChunkedGatherCompressor
 	pairwise   map[int]compress.PairwiseBlockingCompressor
-	// chunked caches the chunk-pipelined view of each buffer's gather
-	// compressor (PipelineChunks > 1 only).
-	chunked map[int]compress.ChunkedGatherCompressor
 
 	rawGroup  *fusionGroup
 	compGroup *fusionGroup
@@ -107,8 +108,8 @@ func newWorker(rank int, cfg *Config, model *nn.Model, c *comm.Communicator, sha
 		additive:   make(map[*nn.Param]compress.AdditiveCompressor),
 		blocking:   make(map[*nn.Param]compress.BlockingCompressor),
 		gatherComp: make(map[int]compress.GatherCompressor),
-		pairwise:   make(map[int]compress.PairwiseBlockingCompressor),
 		chunked:    make(map[int]compress.ChunkedGatherCompressor),
+		pairwise:   make(map[int]compress.PairwiseBlockingCompressor),
 	}
 
 	for i, p := range model.Params() {
@@ -188,68 +189,45 @@ func (w *worker) schedule(launch func()) {
 	launch()
 }
 
-// sealAdditive launches the ring all-reduce for a sealed fused buffer —
-// pipelined over PipelineChunks segments when the knob is set (bit-identical
-// to the plain ring, see comm.AllReduceSumPipelined).
+// pipelineChunks is the number of pipeline chunks every sealed buffer runs:
+// PipelineChunks, with 0 meaning the single-chunk (unpipelined) case.
+func (cfg *Config) pipelineChunks() int { return max(1, cfg.PipelineChunks) }
+
+// sealAdditive launches the ring all-reduce for a sealed fused buffer,
+// pipelined over the configured chunk count (bit-identical for every count,
+// see comm.AllReduceSumPipelined).
 func (w *worker) sealAdditive(buf *additiveBuffer) {
-	if m := w.cfg.PipelineChunks; m > 1 {
-		w.schedule(func() { buf.pending = w.async.AllReduceSumPipelinedAsync(buf.data, m) })
-		return
-	}
-	w.schedule(func() { buf.pending = w.async.AllReduceSumAsync(buf.data) })
+	m := w.cfg.pipelineChunks()
+	w.schedule(func() { buf.pending = w.async.AllReduceSumAsync(buf.data, m) })
 }
 
 // sealGather compresses the packed gradients (inline, on the worker thread,
-// as the paper's compression tasks run on the training GPU) and launches the
-// all-gather. Pairwise-pattern buffers (gTop-k) are deferred: their
-// hypercube reduction is interactive and runs after back-propagation, like
-// Power-SGD's chain.
+// as the paper's compression tasks run on the training GPU) chunk by chunk
+// and streams the chunks through one pipelined all-gather. Pairwise-pattern
+// buffers (gTop-k) are deferred: their hypercube reduction is interactive
+// and runs after back-propagation, like Power-SGD's chain.
 //
-// With PipelineChunks set, sealing launches a per-chunk pipeline instead:
-// chunk c's collective is submitted the moment chunk c is encoded, so with
-// overlap on the wire carries chunk c while the worker is still encoding
-// chunk c+1 — and drain later decodes chunk c while chunk c+1 is still in
-// flight. With overlap off the per-chunk launches replay in the identical
-// order after backward, preserving the bit-identity guarantee across all
-// four knob combinations.
+// The gather is launched before the first chunk is encoded, so with overlap
+// on the wire carries chunk c while the worker is still encoding chunk c+1
+// — and drain later decodes chunk c while chunk c+1 is still in flight. With
+// overlap off the launch replays in the identical order after backward (the
+// fed chunks wait in the handle), preserving bit-identity across the knobs.
 func (w *worker) sealGather(buf *gatherBuffer) {
 	if w.cfg.info.Pattern == compress.PatternPairwise {
 		return
 	}
-	comp, err := w.gatherCompressorFor(buf)
+	cc, err := w.gatherCompressorFor(buf)
 	if err != nil {
 		buf.err = err
 		return
 	}
-	if m := w.cfg.PipelineChunks; m > 1 {
-		cc := w.chunkedFor(buf, comp)
-		buf.bounds = cc.ChunkBounds(m)
-		buf.pipedGath = comm.NewPipelinedGather(m)
-		// Launch before encoding so the collective forwards chunk c while
-		// chunk c+1 is still being encoded (with overlap off the launch is
-		// replayed after backward; the fed chunks wait in the handle).
-		w.schedule(func() { w.async.LaunchPipelinedGather(buf.pipedGath) })
-		for c := 0; c < m; c++ {
-			buf.pipedGath.Feed(cc.EncodeChunk(w.step, buf.packed, buf.bounds, c))
-		}
-		return
+	m := w.cfg.pipelineChunks()
+	buf.bounds = cc.ChunkBounds(m)
+	buf.pipedGath = comm.NewPipelinedGather(m)
+	w.schedule(func() { w.async.LaunchPipelinedGather(buf.pipedGath) })
+	for c := 0; c < m; c++ {
+		buf.pipedGath.Feed(cc.EncodeChunk(w.step, buf.packed, buf.bounds, c))
 	}
-	// The encoded payload is compressor-owned and re-leased on the next
-	// step; keep it on the stack for the launch closure instead of parking
-	// it in the buffer struct, where it would outlive its validity window.
-	blob := comp.Encode(w.step, buf.packed)
-	w.schedule(func() { buf.pending = w.async.AllGatherAsync(blob) })
-}
-
-// chunkedFor returns (caching per buffer) the chunk-pipelined view of the
-// buffer's gather compressor.
-func (w *worker) chunkedFor(buf *gatherBuffer, comp compress.GatherCompressor) compress.ChunkedGatherCompressor {
-	if cc, ok := w.chunked[buf.index]; ok {
-		return cc
-	}
-	cc := compress.Chunked(comp, len(buf.packed))
-	w.chunked[buf.index] = cc
-	return cc
 }
 
 // bufferTensor describes a packed gather buffer to the factory. Buffer
@@ -259,11 +237,11 @@ func (w *worker) bufferTensor(buf *gatherBuffer) compress.Tensor {
 	return compress.Tensor{Rows: len(buf.packed), Cols: 1, ID: int64(buf.index), WorkerRank: w.rank}
 }
 
-// gatherCompressorFor returns (creating on first use) the per-buffer
-// compressor for the packed buffer.
-func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.GatherCompressor, error) {
-	if c, ok := w.gatherComp[buf.index]; ok {
-		return c, nil
+// gatherCompressorFor returns (creating on first use) the chunk-pipelined
+// view of the per-buffer compressor for the packed buffer.
+func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.ChunkedGatherCompressor, error) {
+	if cc, ok := w.chunked[buf.index]; ok {
+		return cc, nil
 	}
 	st, err := w.cfg.fac.New(w.cfg.spec, w.bufferTensor(buf))
 	if err != nil {
@@ -276,8 +254,10 @@ func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.GatherCompress
 	if err := w.applyState("b:"+strconv.Itoa(buf.index), c); err != nil {
 		return nil, err
 	}
+	cc := compress.Chunked(c, len(buf.packed))
 	w.gatherComp[buf.index] = c
-	return c, nil
+	w.chunked[buf.index] = cc
+	return cc, nil
 }
 
 // pairwiseFor returns (creating on first use) the per-buffer pairwise
@@ -503,12 +483,6 @@ func (w *worker) drain() error {
 	for _, buf := range w.gatherGrp.sealed {
 		if buf.pipedGath != nil {
 			w.drainChunked(buf)
-			fail(buf.err, "all-gather")
-			continue
-		}
-		if buf.pending != nil {
-			buf.gathered, buf.err = buf.pending.Wait()
-			buf.pending = nil
 		}
 		fail(buf.err, "all-gather")
 	}
@@ -541,7 +515,6 @@ func (w *worker) drainChunked(buf *gatherBuffer) {
 	}
 	buf.pipedGath.Drain()
 	buf.pipedGath = nil
-	buf.decoded = buf.err == nil
 }
 
 // finalize scatters aggregated payloads back into parameter gradients.
@@ -568,21 +541,9 @@ func (w *worker) finalize() error {
 		if buf.err != nil {
 			return fmt.Errorf("train: rank %d all-gather: %w", w.rank, buf.err)
 		}
-		// Pairwise-pattern buffers already hold the decompressed global mean
-		// in packed (CompressStep replaced it in place); chunk-pipelined
-		// buffers were decoded incrementally in drain; unpipelined gather
-		// buffers still need the fused decode pass over the sealed gather
-		// region, whose pooled memory recycles the moment the decode
-		// consumes it.
-		if w.cfg.info.Pattern != compress.PatternPairwise && !buf.decoded {
-			comp := w.gatherComp[buf.index]
-			err := comp.Decode(w.step, buf.gathered.Payloads(), buf.packed)
-			buf.gathered.Release()
-			buf.gathered = nil
-			if err != nil {
-				return fmt.Errorf("train: rank %d decode: %w", w.rank, err)
-			}
-		}
+		// Gather buffers were decoded chunk by chunk in drain; pairwise
+		// buffers already hold the decompressed global mean in packed
+		// (CompressStep replaced it in place).
 		for _, e := range buf.entries {
 			copy(e.param.Grad.Data, buf.packed[e.off:e.off+e.n])
 		}
