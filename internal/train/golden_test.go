@@ -40,20 +40,18 @@ func TestTrainerGoldenPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", spec, mode, err)
 			}
+			c.SetLR(0.05)
+			initial := weightsHash(c, 0)
 			fmt.Fprintf(&out, "%s overlap=%v\n", spec, mode)
 			for i, loss := range stepLosses(t, c, steps) {
 				fmt.Fprintf(&out, "  step %d loss %016x\n", i, math.Float64bits(loss))
 			}
 			for r := 0; r < c.Size(); r++ {
-				h := fnv.New64a()
-				var word [8]byte
-				for _, p := range c.Model(r).Params() {
-					for _, v := range p.W.Data {
-						binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
-						h.Write(word[:])
-					}
+				h := weightsHash(c, r)
+				if h == initial {
+					t.Fatalf("%s/%v: rank %d weights never moved, so the pin would check nothing", spec, mode, r)
 				}
-				fmt.Fprintf(&out, "  rank %d weights %016x\n", r, h.Sum64())
+				fmt.Fprintf(&out, "  rank %d weights %016x\n", r, h)
 			}
 			c.Close()
 		}
@@ -72,4 +70,17 @@ func TestTrainerGoldenPinned(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("trainer numerics drifted from %s:\n--- got ---\n%s", golden, out.String())
 	}
+}
+
+// weightsHash is an FNV-1a hash of the bits of every weight of rank r.
+func weightsHash(c *Cluster, r int) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	for _, p := range c.Model(r).Params() {
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	return h.Sum64()
 }

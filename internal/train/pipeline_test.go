@@ -77,6 +77,8 @@ func TestPipelineChunksBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer unpiped.Close()
+			piped.SetLR(0.05)
+			unpiped.SetLR(0.05)
 			assertClustersBitIdentical(t, piped, unpiped, steps, name+"/chunks=3-vs-0")
 			if err := piped.CheckSync(); err != nil {
 				t.Fatal(err)
@@ -116,6 +118,7 @@ func TestPipelineChunksBitIdentityModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.SetLR(0.05)
 				return c
 			}
 			piped := mk(tc.chunks)
