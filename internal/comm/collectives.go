@@ -52,11 +52,10 @@ func (c *Communicator) AllReduceSum(buf []float64) error { return c.AllReduceSum
 // same bytes to all ranks); received payloads are served as views over the
 // receive buffers — no pack pass — and the result is caller-owned: read it
 // through the Gathered views and call Release when done to recycle the
-// buffers (or call Bytes to lazily pack a contiguous region). Steady state
-// allocates only the small Gathered handle and, on groups larger than two,
-// the shared send buffer (it cannot return to the pool while several
-// receivers may still be reading it); the self-copy and any packed region
-// recycle through the pool.
+// buffers (or call Bytes to lazily pack a contiguous region). The send
+// buffer doubles as the sender's own view and is shared with every peer
+// (Transport.Share), so it recycles once every holder has released it;
+// steady state allocates only the small Gathered handle.
 func (c *Communicator) AllGather(local []byte) (*Gathered, error) {
 	var out *Gathered
 	err := c.AllGatherPipelined(1,
@@ -67,7 +66,8 @@ func (c *Communicator) AllGather(local []byte) (*Gathered, error) {
 
 // Broadcast copies buf from root to every rank in place (flat tree: root
 // sends to each peer directly). The root encodes once into a pooled buffer
-// shared by all destinations.
+// shared by all destinations, which recycles once every peer has released
+// it.
 func (c *Communicator) Broadcast(buf []float64, root int) error {
 	p := c.t.Size()
 	if root < 0 || root >= p {
@@ -79,12 +79,14 @@ func (c *Communicator) Broadcast(buf []float64, root int) error {
 	if c.t.Rank() == root {
 		msg := c.t.Lease(8 * len(buf))
 		encodeFloatsInto(msg, buf)
-		c.t.Retain(msg)
+		defer c.t.Release(msg) // the root's own holding; each peer settles its share
 		for dst := 0; dst < p; dst++ {
 			if dst == root {
 				continue
 			}
+			c.t.Share(msg)
 			if err := c.t.SendNoCopy(dst, msg); err != nil {
+				c.t.Release(msg) // the failed handoff's share
 				return fmt.Errorf("comm: broadcast send to %d: %w", dst, err)
 			}
 		}

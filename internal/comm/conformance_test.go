@@ -297,6 +297,27 @@ func TestConformanceLeaseRecyclesAfterRelease(t *testing.T) {
 	})
 }
 
+func TestConformanceShareRecyclesAfterLastHolder(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, ts []Transport) {
+		a := ts[0].Lease(100)
+		pa := &a[:cap(a)][0]
+		ts[0].Share(a)
+		ts[0].Release(a) // the second holder still reads it
+		b := ts[0].Lease(90)
+		if &b[:cap(b)][0] == pa {
+			t.Fatal("shared buffer recycled before its last holder settled")
+		}
+		ts[0].Release(a)
+		c := ts[0].Lease(90)
+		if &c[:cap(c)][0] != pa {
+			t.Fatal("shared buffer did not recycle after its last holder settled")
+		}
+		ts[0].Release(b)
+		ts[0].Release(c)
+		ts[0].Share(make([]byte, 16)) // foreign buffers are ignored
+	})
+}
+
 // --- async handle semantics ---------------------------------------------
 
 func TestConformanceAsyncFIFO(t *testing.T) {

@@ -215,39 +215,22 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 
 	// produceAndSend builds chunk i's local blob and forwards it to every
 	// peer with the (chunk, 0) tag; the transport buffers the wire side, so
-	// delivery of chunk i overlaps production of later chunks.
+	// delivery of chunk i overlaps production of later chunks. One leased
+	// message serves every peer and, through the lease itself, the sender's
+	// own view of its chunk; it recycles once all p holders have settled.
 	produceAndSend := func(i int) error {
 		blob := source(i)
 		g := newGathered(c.t, p)
 		staged[i%pipelineWindow] = g
-		if p == 1 {
-			self := c.t.Lease(len(blob))
-			copy(self, blob)
-			g.setPayload(rank, self, self)
-			return nil
-		}
-		var msg []byte
-		if p > 2 {
-			// Shared by several receivers, msg can never return to the pool:
-			// allocate it at its exact size rather than lease and retain a
-			// power-of-two class, which the tag would double for a
-			// power-of-two blob. The sender reads its own copy as the self view.
-			msg = make([]byte, len(blob)+pipeTagBytes)
-			g.setPayload(rank, msg[:len(blob)], nil)
-		} else {
-			//acpvet:ignore p>1 here, so the peer-send loop always runs and settles msg on every path
-			msg = c.t.Lease(len(blob) + pipeTagBytes)
-			self := c.t.Lease(len(blob))
-			copy(self, blob)
-			g.setPayload(rank, self, self)
-		}
+		msg := c.t.Lease(len(blob) + pipeTagBytes)
 		copy(msg, blob)
 		putPipeTag(msg, i, 0)
+		g.setPayload(rank, msg[:len(blob)], msg)
 		for d := 1; d < p; d++ {
 			to := (rank + d) % p
+			c.t.Share(msg)
 			if err := c.t.SendNoCopy(to, msg); err != nil {
-				// Failed handoff: the p==2 lease is still ours; on p>2 the
-				// buffer is not pooled and Release is a safe no-op.
+				// Failed handoff: settle the share this peer would have held.
 				c.t.Release(msg)
 				return fmt.Errorf("comm: pipelined all-gather send chunk %d to %d: %w", i, to, err)
 			}

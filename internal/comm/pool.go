@@ -38,8 +38,13 @@ import (
 //     this to release unconditionally where only some paths own the buffer.
 //  6. Retain removes the buffer from tracking: the garbage collector takes
 //     over and the pool can never hand that memory to anyone else. This is
-//     how shared payloads (broadcast roots, AllGather send buffers) stay
-//     valid while several receivers read them.
+//     how a receiver keeps a payload past the collective (ExchangeWith).
+//  7. Share adds a holder to a leased buffer: it returns to the pool only
+//     once every holder has settled it. This is how a broadcast root or an
+//     all-gather hands one send buffer to every peer (the all-gather keeps
+//     reading it as its own payload) and still recycles it. Each holder
+//     settles exactly once, so a shared buffer must not lean on rule 5's
+//     idempotence.
 //
 // A site that intentionally bends a rule carries an
 // `//acpvet:ignore <reason>` directive on its line (or the line above);
@@ -59,8 +64,8 @@ import (
 // entries until the sweep.
 type bufPool struct {
 	mu   sync.Mutex
-	free map[int][][]byte                // capacity class -> reusable buffers
-	out  map[weak.Pointer[byte]]struct{} // buffers currently on lease or in flight
+	free map[int][][]byte           // capacity class -> reusable buffers
+	out  map[weak.Pointer[byte]]int // buffers on lease or in flight -> holders yet to settle
 }
 
 // outSweepHighWater bounds the tracking table: once it grows past this many
@@ -70,7 +75,7 @@ const outSweepHighWater = 1024
 func newBufPool() *bufPool {
 	return &bufPool{
 		free: make(map[int][][]byte),
-		out:  make(map[weak.Pointer[byte]]struct{}),
+		out:  make(map[weak.Pointer[byte]]int),
 	}
 }
 
@@ -97,7 +102,7 @@ func (p *bufPool) lease(n int) []byte {
 		if list := p.free[class]; len(list) > 0 {
 			buf := list[len(list)-1]
 			p.free[class] = list[:len(list)-1]
-			p.out[weak.Make(&buf[0])] = struct{}{}
+			p.out[weak.Make(&buf[0])] = 1
 			p.mu.Unlock()
 			return buf[:n]
 		}
@@ -105,7 +110,7 @@ func (p *bufPool) lease(n int) []byte {
 	p.mu.Unlock()
 	buf := make([]byte, n, want)
 	p.mu.Lock()
-	p.out[weak.Make(&buf[0])] = struct{}{}
+	p.out[weak.Make(&buf[0])] = 1
 	p.mu.Unlock()
 	return buf
 }
@@ -121,7 +126,8 @@ func (p *bufPool) sweepLocked() {
 	}
 }
 
-// release returns a leased buffer to its bin. Unknown buffers (never leased,
+// release settles one holder of a leased buffer and returns the buffer to
+// its bin once the last holder has settled. Unknown buffers (never leased,
 // already retained, or sub-sliced) are ignored.
 func (p *bufPool) release(buf []byte) {
 	if cap(buf) == 0 {
@@ -130,10 +136,29 @@ func (p *bufPool) release(buf []byte) {
 	full := buf[:cap(buf)]
 	key := weak.Make(&full[0])
 	p.mu.Lock()
-	if _, ok := p.out[key]; ok {
-		delete(p.out, key)
-		class := sizeClass(cap(full))
-		p.free[class] = append(p.free[class], full)
+	if holders, ok := p.out[key]; ok {
+		if holders > 1 {
+			p.out[key] = holders - 1
+		} else {
+			delete(p.out, key)
+			class := sizeClass(cap(full))
+			p.free[class] = append(p.free[class], full)
+		}
+	}
+	p.mu.Unlock()
+}
+
+// share adds a holder to a tracked buffer, so it takes one more release to
+// return it to its bin. Unknown buffers are ignored.
+func (p *bufPool) share(buf []byte) {
+	if cap(buf) == 0 {
+		return
+	}
+	full := buf[:cap(buf)]
+	key := weak.Make(&full[0])
+	p.mu.Lock()
+	if holders, ok := p.out[key]; ok {
+		p.out[key] = holders + 1
 	}
 	p.mu.Unlock()
 }

@@ -247,6 +247,10 @@ func (t *tcpTransport) Release(buf []byte) { t.pool.release(buf) }
 // Retain removes a buffer from pool tracking so the caller may keep it.
 func (t *tcpTransport) Retain(buf []byte) { t.pool.retain(buf) }
 
+// Share adds a holder to a leased buffer; each writer goroutine that sends
+// it settles one holder after its socket write.
+func (t *tcpTransport) Share(buf []byte) { t.pool.share(buf) }
+
 // Outstanding reports this rank's pool buffers still on lease or in flight.
 // Send buffers recycle asynchronously (the writer goroutine releases them
 // after the socket write), so callers asserting zero must let the writers

@@ -21,19 +21,20 @@ var ErrClosed = errors.New("comm: transport closed")
 // waiting for the peer to call Recv (internal buffering), so that collective
 // schedules may post all sends of a step before receiving. A Transport value
 // is owned by a single rank; methods are not safe for concurrent use except
-// where documented (Lease/SendNoCopy/Release/Retain are safe to call
+// where documented (Lease/SendNoCopy/Release/Retain/Share are safe to call
 // concurrently with each other across goroutines — the buffer pool is
 // internally synchronized).
 //
 // # Pooled-buffer contract
 //
-// The Lease/SendNoCopy/Release/Retain quartet makes steady-state collectives
+// Lease/SendNoCopy/Release/Retain/Share make steady-state collectives
 // allocation-free. The ownership rules are:
 //
 //   - Lease(n) hands the caller an n-byte buffer with unspecified contents.
 //   - SendNoCopy transfers ownership of a leased buffer to the transport
 //     without copying. After it returns the sender must not read or write
-//     the buffer again.
+//     the buffer again, unless it added a holder with Share first; then it
+//     may keep reading until it settles its own holding.
 //   - A slice returned by Recv is owned by the receiver but must be treated
 //     as READ-ONLY (a zero-copy transport may deliver the same bytes to
 //     several ranks). When done, the receiver either calls Release to
@@ -41,8 +42,11 @@ var ErrClosed = errors.New("comm: transport closed")
 //     it). Retaining without either call is legal but forfeits reuse.
 //   - Release and Retain ignore buffers the pool does not know, so they are
 //     always safe to call on whatever Recv returned.
-//   - To deliver one leased buffer to several peers, call Retain first and
-//     then SendNoCopy per peer; receivers see shared read-only bytes.
+//   - To deliver one leased buffer to several peers, call Share before each
+//     SendNoCopy and settle the lease itself once you are done reading it;
+//     receivers see shared read-only bytes, and the buffer recycles after
+//     the last holder's Release. (Retain first, then SendNoCopy per peer,
+//     also works, but the buffer never recycles.)
 type Transport interface {
 	// Rank returns this participant's rank in [0, Size).
 	Rank() int
@@ -67,6 +71,9 @@ type Transport interface {
 	// Retain removes a leased or received buffer from pool tracking so the
 	// caller may keep it. No-op for unknown buffers.
 	Retain(buf []byte)
+	// Share adds a holder to a leased buffer: the buffer returns to the pool
+	// only after one more Release. No-op for unknown buffers.
+	Share(buf []byte)
 	// Close releases transport resources. Pending Recv calls fail.
 	Close() error
 }
@@ -176,6 +183,9 @@ func (t *inprocTransport) Release(buf []byte) { t.g.pool.release(buf) }
 
 // Retain removes a buffer from pool tracking so the caller may keep it.
 func (t *inprocTransport) Retain(buf []byte) { t.g.pool.retain(buf) }
+
+// Share adds a holder to a leased buffer in the group pool.
+func (t *inprocTransport) Share(buf []byte) { t.g.pool.share(buf) }
 
 // Outstanding reports the group's pool buffers still on lease or in flight
 // (the pool is shared group-wide, so every rank reports the same number).

@@ -378,8 +378,8 @@ func (w *worker) snapshot() (*Checkpoint, error) {
 	for p, comp := range w.blocking {
 		add("p:"+p.Name, comp)
 	}
-	for idx, comp := range w.gatherComp {
-		add("b:"+strconv.Itoa(idx), comp)
+	for idx, g := range w.gather {
+		add("b:"+strconv.Itoa(idx), g.comp)
 	}
 	for idx, comp := range w.pairwise {
 		add("b:"+strconv.Itoa(idx), comp)

@@ -55,12 +55,8 @@ type worker struct {
 	// one of these is populated, per the method's Scope and Pattern.
 	additive map[*nn.Param]compress.AdditiveCompressor
 	blocking map[*nn.Param]compress.BlockingCompressor
-	// gatherComp owns each gather buffer's compressor state (what
-	// checkpoints export); chunked holds the chunk-pipelined view of it
-	// that sealing and draining run.
-	gatherComp map[int]compress.GatherCompressor
-	chunked    map[int]compress.ChunkedGatherCompressor
-	pairwise   map[int]compress.PairwiseBlockingCompressor
+	gather   map[int]gatherComp
+	pairwise map[int]compress.PairwiseBlockingCompressor
 
 	rawGroup  *fusionGroup
 	compGroup *fusionGroup
@@ -97,19 +93,18 @@ func newWorker(rank int, cfg *Config, model *nn.Model, c *comm.Communicator, sha
 		opt.SetClipNorm(cfg.ClipNorm)
 	}
 	w := &worker{
-		rank:       rank,
-		cfg:        cfg,
-		model:      model,
-		com:        c,
-		async:      comm.NewAsync(c),
-		opt:        opt,
-		batch:      data.NewBatcher(shard, cfg.BatchPerWorker, cfg.Seed*7919+int64(rank)),
-		isMatrix:   make(map[*nn.Param]bool),
-		additive:   make(map[*nn.Param]compress.AdditiveCompressor),
-		blocking:   make(map[*nn.Param]compress.BlockingCompressor),
-		gatherComp: make(map[int]compress.GatherCompressor),
-		chunked:    make(map[int]compress.ChunkedGatherCompressor),
-		pairwise:   make(map[int]compress.PairwiseBlockingCompressor),
+		rank:     rank,
+		cfg:      cfg,
+		model:    model,
+		com:      c,
+		async:    comm.NewAsync(c),
+		opt:      opt,
+		batch:    data.NewBatcher(shard, cfg.BatchPerWorker, cfg.Seed*7919+int64(rank)),
+		isMatrix: make(map[*nn.Param]bool),
+		additive: make(map[*nn.Param]compress.AdditiveCompressor),
+		blocking: make(map[*nn.Param]compress.BlockingCompressor),
+		gather:   make(map[int]gatherComp),
+		pairwise: make(map[int]compress.PairwiseBlockingCompressor),
 	}
 
 	for i, p := range model.Params() {
@@ -237,11 +232,19 @@ func (w *worker) bufferTensor(buf *gatherBuffer) compress.Tensor {
 	return compress.Tensor{Rows: len(buf.packed), Cols: 1, ID: int64(buf.index), WorkerRank: w.rank}
 }
 
+// gatherComp is one gather buffer's compressor: comp owns the state that
+// checkpoints export, cc is the chunk-pipelined view of it that sealing and
+// draining run.
+type gatherComp struct {
+	comp compress.GatherCompressor
+	cc   compress.ChunkedGatherCompressor
+}
+
 // gatherCompressorFor returns (creating on first use) the chunk-pipelined
 // view of the per-buffer compressor for the packed buffer.
 func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.ChunkedGatherCompressor, error) {
-	if cc, ok := w.chunked[buf.index]; ok {
-		return cc, nil
+	if g, ok := w.gather[buf.index]; ok {
+		return g.cc, nil
 	}
 	st, err := w.cfg.fac.New(w.cfg.spec, w.bufferTensor(buf))
 	if err != nil {
@@ -255,8 +258,7 @@ func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.ChunkedGatherC
 		return nil, err
 	}
 	cc := compress.Chunked(c, len(buf.packed))
-	w.gatherComp[buf.index] = c
-	w.chunked[buf.index] = cc
+	w.gather[buf.index] = gatherComp{comp: c, cc: cc}
 	return cc, nil
 }
 
@@ -496,7 +498,7 @@ func (w *worker) drain() error {
 // region recycles as soon as its decode consumes it. On error the handle is
 // drained so no chunk result is left holding pooled memory.
 func (w *worker) drainChunked(buf *gatherBuffer) {
-	cc := w.chunked[buf.index]
+	cc := w.gather[buf.index].cc
 	m := len(buf.bounds) - 1
 	for c := 0; c < m; c++ {
 		g, err := buf.pipedGath.Next()
