@@ -275,7 +275,7 @@ func overlapStepCase(mode train.Overlap) func(b *testing.B) {
 					return nil, err
 				}
 				for i := range ts {
-					ts[i] = comm.WithLatency(ts[i], time.Millisecond)
+					ts[i] = comm.WithChaos(ts[i], comm.ChaosPlan{Delay: time.Millisecond})
 				}
 				return ts, nil
 			},

@@ -6,7 +6,36 @@ import (
 	"math/bits"
 	"slices"
 	"testing"
+	"time"
 )
+
+// closeAll closes every transport of a group.
+func closeAll(ts []Transport) {
+	for _, t := range ts {
+		t.Close()
+	}
+}
+
+// TestChaosPassthrough: a plan that injects nothing returns the transport
+// unwrapped — no decorator overhead on the healthy path. After alone arms
+// nothing.
+func TestChaosPassthrough(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	for _, plan := range []ChaosPlan{
+		{},
+		{Seed: 1},
+		{After: 3},
+		{Fail: -0.5, Flip: -0.5, Delay: -time.Second, Seed: 1},
+	} {
+		if got := WithChaos(ts[0], plan); got != ts[0] {
+			t.Fatalf("plan %+v should return the transport unchanged", plan)
+		}
+	}
+}
 
 // failMask drives 64 ops through a transport wrapping rank 0 of a fresh
 // inproc pair, cycling Send, SendNoCopy and Recv so every op kind draws from
@@ -106,7 +135,7 @@ func TestChaosStreamsPinned(t *testing.T) {
 		{43, 0xc118b81100307a59},
 	} {
 		seed := tc.seed
-		got := failMask(t, func(tr Transport) Transport { return WithFlaky(tr, 0.4, seed) })
+		got := failMask(t, func(tr Transport) Transport { return WithChaos(tr, ChaosPlan{Fail: 0.4, Seed: seed}) })
 		if got != tc.want {
 			t.Errorf("fail 0.4 seed %d: mask %#016x, want %#016x", seed, got, tc.want)
 		}
@@ -115,8 +144,230 @@ func TestChaosStreamsPinned(t *testing.T) {
 		{0, 139}, {7, 54}, {10, 64}, {18, 92}, {19, 220}, {24, 203}, {25, 96},
 		{26, 254}, {32, 239}, {45, 93}, {46, 20}, {47, 3}, {52, 20}, {59, 22},
 	}
-	gotFlips := flipList(t, func(tr Transport) Transport { return WithCorrupt(tr, 0.3, 1234) })
+	gotFlips := flipList(t, func(tr Transport) Transport { return WithChaos(tr, ChaosPlan{Flip: 0.3, Seed: 1234}) })
 	if !slices.Equal(gotFlips, wantFlips) {
 		t.Errorf("flip 0.3 seed 1234: flips %v, want %v", gotFlips, wantFlips)
+	}
+}
+
+// TestChaosAfterCountsEveryOp: sends and receives share one op counter, so
+// the first After ops (here two sends) pass and every later op, a receive
+// included, fails with ErrInjected under Fail 1.
+func TestChaosAfterCountsEveryOp(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	f := WithChaos(ts[0], ChaosPlan{After: 2, Fail: 1})
+	for i := 0; i < 2; i++ {
+		if err := f.Send(1, []byte{byte(i)}); err != nil {
+			t.Fatalf("op %d inside the budget failed: %v", i, err)
+		}
+		data, err := ts[1].Recv(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts[1].Release(data)
+	}
+	for i := 0; i < 3; i++ {
+		//acpvet:ignore an armed Fail 1 Recv never returns a buffer
+		if _, err := f.Recv(1); !errors.Is(err, ErrInjected) {
+			t.Fatalf("armed op %d: want injected failure, got %v", i, err)
+		}
+	}
+}
+
+// TestChaosFailLeaseOwnership: a failed SendNoCopy leaves the lease with the
+// caller — releasing it must bring the pool back to zero outstanding, per the
+// Transport ownership contract the decorator must not break.
+func TestChaosFailLeaseOwnership(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	f := WithChaos(ts[0], ChaosPlan{Fail: 1, Seed: 7}) // every op fails
+	acct := ts[0].(leaseAccountant)
+
+	buf := f.Lease(64)
+	if err := f.SendNoCopy(1, buf); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want injected failure, got %v", err)
+	}
+	// Ownership stayed with the caller; release must fully recycle.
+	f.Release(buf)
+	if n := acct.Outstanding(); n != 0 {
+		t.Fatalf("%d buffers outstanding after releasing a failed SendNoCopy", n)
+	}
+}
+
+// TestChaosFailedRecvConsumesNothing: a failed Recv drops nothing — the
+// queued message is still delivered by the next Recv on the inner transport.
+func TestChaosFailedRecvConsumesNothing(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	if err := ts[0].Send(1, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	f := WithChaos(ts[1], ChaosPlan{Fail: 1, Seed: 9})
+	//acpvet:ignore a Fail 1 Recv never returns a buffer
+	if _, err := f.Recv(0); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want injected recv failure, got %v", err)
+	}
+	data, err := ts[1].Recv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "payload" {
+		t.Fatalf("message lost across failed recv: %q", data)
+	}
+	ts[1].Release(data)
+}
+
+// TestChaosStall: the scripted hung rank. The first After ops pass, later
+// ones wedge without erroring, and closing the transport (what a group abort
+// does) unblocks them with ErrClosed — chaos that can always be torn down.
+func TestChaosStall(t *testing.T) {
+	forEachTransport(t, 2, func(t *testing.T, ts []Transport) {
+		s := WithChaos(ts[0], ChaosPlan{After: 1, Stall: true})
+		if err := s.Send(1, []byte("first")); err != nil {
+			t.Fatalf("op inside the budget should pass: %v", err)
+		}
+		got, err := ts[1].Recv(0)
+		if err != nil || string(got) != "first" {
+			t.Fatalf("pass-through op not delivered: %q, %v", got, err)
+		}
+		ts[1].Release(got)
+
+		errc := make(chan error, 1)
+		go func() { errc <- s.Send(1, []byte("stalls")) }()
+		select {
+		case err := <-errc:
+			t.Fatalf("op past the budget returned early: %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		s.Close()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("stalled op should fail with ErrClosed after close, got %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("stalled op did not unblock on close")
+		}
+
+		// A stalled rank produces no deadline error of its own even when
+		// deadline-decorated underneath — blame must come from peers.
+		s2 := WithChaos(WithDeadline(ts[1], 10*time.Millisecond), ChaosPlan{Stall: true})
+		errc2 := make(chan error, 1)
+		go func() {
+			//acpvet:ignore the stalled Recv only ever returns ErrClosed, never a buffer
+			_, err := s2.Recv(0)
+			errc2 <- err
+		}()
+		select {
+		case err := <-errc2:
+			t.Fatalf("stall over deadline decoration leaked an error: %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		s2.Close()
+		if err := <-errc2; !errors.Is(err, ErrClosed) {
+			t.Fatalf("expected ErrClosed after close, got %v", err)
+		}
+	})
+}
+
+// TestChaosFlipCaughtByIntegrity stacks the chaos decorator inside the
+// integrity decorator — the configuration the corruption chaos tests use —
+// and asserts a certain flip (Flip 1) is detected and attributed to the
+// sender, while the clean reverse direction still round-trips.
+func TestChaosFlipCaughtByIntegrity(t *testing.T) {
+	base, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base[0].Close()
+	ts := []Transport{
+		WithIntegrity(WithChaos(base[0], ChaosPlan{Flip: 1, Seed: 99})),
+		WithIntegrity(base[1]),
+	}
+
+	payload := bytes.Repeat([]byte{0x5a}, 256)
+	if err := ts[0].Send(1, payload); err != nil {
+		t.Fatal(err)
+	}
+	leaked, err := ts[1].Recv(0)
+	if err == nil {
+		ts[1].Release(leaked)
+		t.Fatal("flipped payload was delivered clean")
+	}
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Peer != 0 {
+		t.Fatalf("flipped payload surfaced as %v, want *CorruptError{Peer: 0}", err)
+	}
+
+	// The uncorrupted direction keeps working after the detection.
+	if err := ts[1].Send(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ts[0].Recv(1)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("clean direction broken: %v", err)
+	}
+	ts[0].Release(got)
+}
+
+// TestChaosFlipSendNoCopyOwnership: a flipped SendNoCopy goes out as a leased
+// copy and recycles the caller's lease, so the pool balances once the
+// receiver releases.
+func TestChaosFlipSendNoCopyOwnership(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	f := WithChaos(ts[0], ChaosPlan{Flip: 1, Seed: 5})
+	buf := f.Lease(16)
+	copy(buf, "sixteen byte msg")
+	if err := f.SendNoCopy(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ts[1].Recv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) == "sixteen byte msg" {
+		t.Fatal("Flip 1 send arrived unflipped")
+	}
+	ts[1].Release(got)
+	if n := ts[0].(leaseAccountant).Outstanding(); n != 0 {
+		t.Fatalf("%d buffers outstanding after a flipped SendNoCopy", n)
+	}
+}
+
+// TestChaosDelay: every successful Recv returns no earlier than Delay after
+// the message is consumed.
+func TestChaosDelay(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	const delay = 20 * time.Millisecond
+	d := WithChaos(ts[1], ChaosPlan{Delay: delay})
+	if err := ts[0].Send(1, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := d.Recv(0)
+	if err != nil || string(got) != "late" {
+		t.Fatalf("delayed recv: %q, %v", got, err)
+	}
+	d.Release(got)
+	if el := time.Since(start); el < delay {
+		t.Fatalf("recv returned after %v, want at least %v", el, delay)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
-	"sync"
 )
 
 // ErrCorrupt is the sentinel wrapped by every CorruptError and by the TCP
@@ -31,81 +29,6 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// corruptTransport flips payload bits on the way out with probability p per
-// send, modeling silent wire or DMA corruption below every software check.
-type corruptTransport struct {
-	Transport
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   float64
-}
-
-// WithCorrupt wraps t so each Send/SendNoCopy flips one uniformly chosen
-// payload bit with probability p, using a seeded deterministic stream —
-// the silent-corruption sibling of WithFlaky and WithStall. The flip is
-// never applied in place: inproc delivery is by reference and a retained
-// buffer may be mid-send to other peers, so the decorator leases a fresh
-// buffer, copies, and flips the copy. Receives pass through untouched (the
-// receive-side defenses — frame CRC, WithIntegrity, decode validation —
-// are exactly what this decorator exists to exercise). A non-positive p
-// returns t unchanged.
-func WithCorrupt(t Transport, p float64, seed int64) Transport {
-	if p <= 0 {
-		return t
-	}
-	return &corruptTransport{Transport: t, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-// flipBit draws one corruption decision for an n-byte payload: a bit index
-// to flip, or -1 to pass the send through clean. The mutex serializes the
-// rng: collectives send from multiple goroutines.
-func (c *corruptTransport) flipBit(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n == 0 || c.rng.Float64() >= c.p {
-		return -1
-	}
-	return c.rng.Intn(n * 8)
-}
-
-// corrupted returns a leased copy of data with one bit flipped.
-func (c *corruptTransport) corrupted(data []byte, bit int) []byte {
-	evil := c.Transport.Lease(len(data))
-	copy(evil, data)
-	evil[bit>>3] ^= 1 << uint(bit&7)
-	return evil
-}
-
-func (c *corruptTransport) Send(to int, data []byte) error {
-	bit := c.flipBit(len(data))
-	if bit < 0 {
-		return c.Transport.Send(to, data)
-	}
-	evil := c.corrupted(data, bit)
-	if err := c.Transport.SendNoCopy(to, evil); err != nil {
-		c.Transport.Release(evil)
-		return err
-	}
-	return nil
-}
-
-func (c *corruptTransport) SendNoCopy(to int, buf []byte) error {
-	bit := c.flipBit(len(buf))
-	if bit < 0 {
-		return c.Transport.SendNoCopy(to, buf)
-	}
-	evil := c.corrupted(buf, bit)
-	if err := c.Transport.SendNoCopy(to, evil); err != nil {
-		c.Transport.Release(evil)
-		return err
-	}
-	// The flipped copy went out in the original's place; the caller's lease
-	// was consumed from its point of view, so recycle it here (a no-op for
-	// caller-owned or retained buffers, per the pool contract).
-	c.Transport.Release(buf)
-	return nil
-}
-
 // integrityTransport seals every outgoing message with a CRC32C trailer and
 // verifies it on receive, turning any bit flip between the two endpoints'
 // decorators into a *CorruptError instead of silent gradient damage.
@@ -117,7 +40,7 @@ type integrityTransport struct {
 // append a CRC32C trailer, Recv verifies and strips it, failing with a
 // *CorruptError naming the sender. The TCP transport already checksums each
 // frame against socket-level corruption; this decorator covers everything
-// above the transport — a WithCorrupt layer stacked inside it, a buggy
+// above the transport — a WithChaos Flip layer stacked inside it, a buggy
 // middleware, shared-memory scribbles on inproc — at the cost of one copy
 // per send (sealing in place is unsafe: inproc delivers by reference and a
 // retained buffer may be mid-send to several peers). Both endpoints of a

@@ -3,8 +3,6 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -213,64 +211,4 @@ func (t *tcpTransport) SendTimeout(to int, data []byte, d time.Duration) error {
 	case <-timer.C:
 		return &DeadlineError{Op: "send", Peer: to, Idle: d}
 	}
-}
-
-// stallTransport models the failure mode heartbeats cannot see: a rank whose
-// process is alive (so the coordinator keeps it in the epoch) but whose
-// collectives stopped making progress.
-type stallTransport struct {
-	Transport
-	budget  atomic.Int64
-	stalled chan struct{}
-	once    sync.Once
-}
-
-// WithStall wraps t so the first n Send/SendNoCopy/Recv operations pass
-// through and every later one blocks until the transport is closed, then
-// fails with ErrClosed — the scripted hung-but-heartbeating rank. Because
-// the stall sits in front of any deadline decoration, the wedged rank
-// produces no deadline error of its own: its peers' blame is the only
-// signal, exactly as with a real wedge. The group abort that follows closes
-// the transport and unblocks the stalled operation, so teardown never hangs
-// on the chaos it injected.
-func WithStall(t Transport, n int) Transport {
-	s := &stallTransport{Transport: t, stalled: make(chan struct{})}
-	s.budget.Store(int64(n))
-	return s
-}
-
-// stall blocks until Close releases it. The receive needs no timer case: the
-// whole point is to wedge until the watchdog aborts the group, and that
-// abort is what closes s.stalled.
-func (s *stallTransport) stall() error {
-	<-s.stalled
-	return ErrClosed
-}
-
-func (s *stallTransport) Send(to int, data []byte) error {
-	if s.budget.Add(-1) < 0 {
-		return s.stall()
-	}
-	return s.Transport.Send(to, data)
-}
-
-// SendNoCopy stalls like Send; the unconsumed buffer stays with the caller
-// per the failed-send ownership rule.
-func (s *stallTransport) SendNoCopy(to int, buf []byte) error {
-	if s.budget.Add(-1) < 0 {
-		return s.stall()
-	}
-	return s.Transport.SendNoCopy(to, buf)
-}
-
-func (s *stallTransport) Recv(from int) ([]byte, error) {
-	if s.budget.Add(-1) < 0 {
-		return nil, s.stall()
-	}
-	return s.Transport.Recv(from)
-}
-
-func (s *stallTransport) Close() error {
-	s.once.Do(func() { close(s.stalled) })
-	return s.Transport.Close()
 }

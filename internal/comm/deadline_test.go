@@ -105,8 +105,8 @@ func TestDeadlineFallbackRecv(t *testing.T) {
 			tr.Close()
 		}
 	}()
-	// WithLatency hides the native timeout methods, forcing the fallback.
-	d := WithDeadline(WithLatency(ts[0], time.Nanosecond), 30*time.Millisecond)
+	// A chaos layer hides the native timeout methods, forcing the fallback.
+	d := WithDeadline(WithChaos(ts[0], ChaosPlan{Delay: time.Nanosecond}), 30*time.Millisecond)
 	if _, ok := d.(*deadlineTransport).Transport.(timeoutCapable); ok {
 		t.Fatal("test premise broken: inner transport has native timeouts")
 	}
@@ -141,57 +141,4 @@ func TestDeadlineFallbackRecv(t *testing.T) {
 		t.Fatalf("healthy fallback recv: %q, %v", got, err)
 	}
 	d.Release(got)
-}
-
-// TestWithStall: the scripted hung rank. The first n operations pass, later
-// ones wedge without erroring, and closing the transport (what a group abort
-// does) unblocks them with ErrClosed — chaos that can always be torn down.
-func TestWithStall(t *testing.T) {
-	forEachTransport(t, 2, func(t *testing.T, ts []Transport) {
-		s := WithStall(ts[0], 1)
-		if err := s.Send(1, []byte("first")); err != nil {
-			t.Fatalf("op inside the budget should pass: %v", err)
-		}
-		got, err := ts[1].Recv(0)
-		if err != nil || string(got) != "first" {
-			t.Fatalf("pass-through op not delivered: %q, %v", got, err)
-		}
-		ts[1].Release(got)
-
-		errc := make(chan error, 1)
-		go func() { errc <- s.Send(1, []byte("stalls")) }()
-		select {
-		case err := <-errc:
-			t.Fatalf("op past the budget returned early: %v", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		s.Close()
-		select {
-		case err := <-errc:
-			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("stalled op should fail with ErrClosed after close, got %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("stalled op did not unblock on close")
-		}
-
-		// A stalled rank produces no deadline error of its own even when
-		// deadline-decorated underneath — blame must come from peers.
-		s2 := WithStall(WithDeadline(ts[1], 10*time.Millisecond), 0)
-		errc2 := make(chan error, 1)
-		go func() {
-			//acpvet:ignore the stalled Recv only ever returns ErrClosed, never a buffer
-			_, err := s2.Recv(0)
-			errc2 <- err
-		}()
-		select {
-		case err := <-errc2:
-			t.Fatalf("stall over deadline decoration leaked an error: %v", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		s2.Close()
-		if err := <-errc2; !errors.Is(err, ErrClosed) {
-			t.Fatalf("expected ErrClosed after close, got %v", err)
-		}
-	})
 }

@@ -1,53 +1,13 @@
 package comm
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// This file holds Transport decorators used by benchmarks and tests:
-// WithLatency models a slow interconnect on top of the in-process transport
-// (so overlap benchmarks have communication worth hiding), WithFaultAfter
-// injects deterministic communication failures (so error paths through the
-// overlap scheduler can be exercised without real network faults), and
-// WithFlaky injects seeded transient faults (so the elastic runtime's
-// retry-within-epoch path can be exercised deterministically). All delegate
-// the pooled-buffer contract verbatim to the wrapped transport.
-
-// ErrInjected is the sentinel wrapped by every failure a fault-injected
-// transport produces; test assertions match it with errors.Is.
-var ErrInjected = errors.New("comm: injected fault")
-
-// latencyTransport delays every message delivery by a fixed duration,
-// emulating a per-hop wire time on transports that are otherwise
-// memory-speed.
-type latencyTransport struct {
-	Transport
-	delay time.Duration
-}
-
-// WithLatency wraps t so every Recv completes no earlier than delay after
-// the message is consumed — the alpha term of the alpha-beta network model
-// applied per hop. A non-positive delay returns t unchanged.
-func WithLatency(t Transport, delay time.Duration) Transport {
-	if delay <= 0 {
-		return t
-	}
-	return &latencyTransport{Transport: t, delay: delay}
-}
-
-func (l *latencyTransport) Recv(from int) ([]byte, error) {
-	data, err := l.Transport.Recv(from)
-	if err != nil {
-		return nil, err
-	}
-	time.Sleep(l.delay)
-	return data, nil
-}
+// This file holds BandwidthPacer, the bandwidth half of the network model the
+// benchmarks run on the in-process transport. The latency half and the fault
+// injection live in WithChaos (chaos.go).
 
 // BandwidthPacer models the transmission (beta) term of the alpha-beta
 // network model for a whole transport group: every directed link is a pipe
@@ -150,110 +110,4 @@ func (t *pacedTransport) Recv(from int) ([]byte, error) {
 		time.Sleep(d)
 	}
 	return data, nil
-}
-
-// faultTransport fails every point-to-point operation once a budget of
-// healthy operations is spent.
-type faultTransport struct {
-	Transport
-	budget atomic.Int64
-}
-
-// WithFaultAfter wraps t so the first n Send/SendNoCopy/Recv operations
-// succeed and every later one fails with an error wrapping ErrInjected. The
-// wrapped transport is otherwise untouched, so a failed SendNoCopy leaves
-// buffer ownership with the caller exactly as the Transport contract
-// specifies (callers release the lease on error).
-func WithFaultAfter(t Transport, n int) Transport {
-	f := &faultTransport{Transport: t}
-	f.budget.Store(int64(n))
-	return f
-}
-
-func (f *faultTransport) spend(op string, peer int) error {
-	if f.budget.Add(-1) < 0 {
-		return fmt.Errorf("comm: %s peer %d: %w", op, peer, ErrInjected)
-	}
-	return nil
-}
-
-func (f *faultTransport) Send(to int, data []byte) error {
-	if err := f.spend("send", to); err != nil {
-		return err
-	}
-	return f.Transport.Send(to, data)
-}
-
-func (f *faultTransport) SendNoCopy(to int, buf []byte) error {
-	if err := f.spend("send", to); err != nil {
-		return err
-	}
-	return f.Transport.SendNoCopy(to, buf)
-}
-
-func (f *faultTransport) Recv(from int) ([]byte, error) {
-	if err := f.spend("recv", from); err != nil {
-		return nil, err
-	}
-	return f.Transport.Recv(from)
-}
-
-// flakyTransport fails each point-to-point operation independently with a
-// fixed probability, from a seeded RNG.
-type flakyTransport struct {
-	Transport
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   float64
-}
-
-// WithFlaky wraps t so every Send/SendNoCopy/Recv fails independently with
-// probability p, drawn from a seeded RNG — the transient-fault complement to
-// WithFaultAfter's terminal budget. The same (seed, operation sequence)
-// always yields the same failure pattern, so flaky-link tests are exactly
-// reproducible. Failures wrap ErrInjected.
-//
-// Ownership on failure follows the Transport contract precisely: a failed
-// SendNoCopy leaves the lease with the caller (release it), and a failed
-// Recv consumes nothing — the message, if any, stays queued for the next
-// Recv, like a dropped-then-retransmitted packet. A non-positive p returns t
-// unchanged.
-func WithFlaky(t Transport, p float64, seed int64) Transport {
-	if p <= 0 {
-		return t
-	}
-	return &flakyTransport{Transport: t, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-// roll draws one failure decision. The RNG is mutex-guarded: a transport's
-// Send runs on the comm goroutine while tests may drive Recv elsewhere.
-func (f *flakyTransport) roll(op string, peer int) error {
-	f.mu.Lock()
-	x := f.rng.Float64()
-	f.mu.Unlock()
-	if x < f.p {
-		return fmt.Errorf("comm: flaky %s peer %d: %w", op, peer, ErrInjected)
-	}
-	return nil
-}
-
-func (f *flakyTransport) Send(to int, data []byte) error {
-	if err := f.roll("send", to); err != nil {
-		return err
-	}
-	return f.Transport.Send(to, data)
-}
-
-func (f *flakyTransport) SendNoCopy(to int, buf []byte) error {
-	if err := f.roll("send", to); err != nil {
-		return err
-	}
-	return f.Transport.SendNoCopy(to, buf)
-}
-
-func (f *flakyTransport) Recv(from int) ([]byte, error) {
-	if err := f.roll("recv", from); err != nil {
-		return nil, err
-	}
-	return f.Transport.Recv(from)
 }

@@ -231,7 +231,7 @@ func TestPipelinedFaultInjection(t *testing.T) {
 			}
 			ts := make([]Transport, p)
 			copy(ts, base)
-			ts[1] = WithFaultAfter(ts[1], budget)
+			ts[1] = WithChaos(ts[1], ChaosPlan{After: budget, Fail: 1})
 			t.Cleanup(func() {
 				for _, tr := range ts {
 					tr.Close()

@@ -58,7 +58,7 @@ func TestScenarioCrossValidatesElasticRuntime(t *testing.T) {
 		// very first step hits a transient link fault while the rank keeps
 		// heartbeating. Re-formed epochs get clean transports.
 		if atomic.AddInt32(&builds, 1) == 1 {
-			ts[flakyRank] = comm.WithFlaky(ts[flakyRank], 1, 42)
+			ts[flakyRank] = comm.WithChaos(ts[flakyRank], comm.ChaosPlan{Fail: 1, Seed: 42})
 		}
 		return ts, nil
 	}
@@ -305,7 +305,7 @@ func TestScenarioCrossValidatesReshapeAndWatchdog(t *testing.T) {
 			for i := range ts {
 				ts[i] = comm.WithDeadline(ts[i], idle)
 			}
-			ts[1] = comm.WithStall(ts[1], 0)
+			ts[1] = comm.WithChaos(ts[1], comm.ChaosPlan{Stall: true})
 		}
 		return ts, nil
 	}

@@ -181,7 +181,7 @@ func corruptingTransports(badRank int, p float64, seed int64, builds *int32) fun
 		first := atomic.AddInt32(builds, 1) == 1
 		for i := range ts {
 			if first && i == badRank {
-				ts[i] = comm.WithCorrupt(ts[i], p, seed)
+				ts[i] = comm.WithChaos(ts[i], comm.ChaosPlan{Flip: p, Seed: seed})
 			}
 			ts[i] = comm.WithIntegrity(ts[i])
 		}
@@ -247,7 +247,7 @@ func TestCorruptionDetectedOverTCP(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		ts[0] = comm.WithCorrupt(ts[0], 1, 7) // flip every message
+		ts[0] = comm.WithChaos(ts[0], comm.ChaosPlan{Flip: 1, Seed: 7}) // flip every message
 		for i := range ts {
 			ts[i] = comm.WithIntegrity(ts[i])
 		}

@@ -111,7 +111,7 @@ func TestElasticTransientFaultSameSize(t *testing.T) {
 		// Only the first epoch's transports fault; the re-formed group is
 		// clean, as after a recovered link.
 		if atomic.AddInt32(&builds, 1) == 1 {
-			ts[1] = comm.WithFaultAfter(ts[1], 5)
+			ts[1] = comm.WithChaos(ts[1], comm.ChaosPlan{After: 5, Fail: 1})
 		}
 		return ts, nil
 	}

@@ -122,7 +122,7 @@ func faultyTransports(base func(int) ([]comm.Transport, error), rank, budget int
 		if err != nil {
 			return nil, err
 		}
-		ts[rank] = comm.WithFaultAfter(ts[rank], budget)
+		ts[rank] = comm.WithChaos(ts[rank], comm.ChaosPlan{After: budget, Fail: 1})
 		return ts, nil
 	}
 }

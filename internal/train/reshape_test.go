@@ -277,7 +277,7 @@ func hungTransports(base func(int) ([]comm.Transport, error), idle time.Duration
 			ts[i] = comm.WithDeadline(ts[i], idle)
 		}
 		if wedgeBuilds[build] && victim < p {
-			ts[victim] = comm.WithStall(ts[victim], 0)
+			ts[victim] = comm.WithChaos(ts[victim], comm.ChaosPlan{Stall: true})
 		}
 		return ts, nil
 	}

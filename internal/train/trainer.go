@@ -102,9 +102,8 @@ type Config struct {
 	// channels.
 	UseTCP bool
 	// NewTransports overrides transport construction — benchmarks and
-	// tests inject latency or faults here (see comm.WithLatency,
-	// comm.WithFaultAfter). When nil, UseTCP picks loopback TCP or
-	// in-process channels.
+	// tests inject latency or faults here (see comm.WithChaos). When nil,
+	// UseTCP picks loopback TCP or in-process channels.
 	NewTransports func(workers int) ([]comm.Transport, error)
 	// EvalEvery evaluates test accuracy every EvalEvery epochs (default 1).
 	EvalEvery int
