@@ -150,6 +150,71 @@ func TestChaosStreamsPinned(t *testing.T) {
 	}
 }
 
+// TestWithFlakyPassthrough: a non-positive Fail probability, the plan that
+// replaces WithFlaky(t, p, seed) at p <= 0, returns the transport unwrapped.
+func TestWithFlakyPassthrough(t *testing.T) {
+	ts, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(ts)
+	if got := WithChaos(ts[0], ChaosPlan{Fail: 0, Seed: 1}); got != ts[0] {
+		t.Fatal("Fail 0 should return the transport unchanged")
+	}
+	if got := WithChaos(ts[0], ChaosPlan{Fail: -0.5, Seed: 1}); got != ts[0] {
+		t.Fatal("Fail < 0 should return the transport unchanged")
+	}
+}
+
+// TestWithFlakyDeterminism: under a Fail plan the same seed yields the same
+// failure pattern (reproducible chaos); a different seed yields a different
+// one.
+func TestWithFlakyDeterminism(t *testing.T) {
+	flaky := func(seed int64) func(Transport) Transport {
+		return func(tr Transport) Transport { return WithChaos(tr, ChaosPlan{Fail: 0.4, Seed: seed}) }
+	}
+	a, b, c := failMask(t, flaky(42)), failMask(t, flaky(42)), failMask(t, flaky(43))
+	if a != b {
+		t.Fatalf("same seed diverged: %#016x vs %#016x", a, b)
+	}
+	if a == 0 || a == ^uint64(0) {
+		t.Fatalf("Fail 0.4 over 64 ops should mix failures and successes (mask %#016x)", a)
+	}
+	if a == c {
+		t.Fatal("different seeds produced identical failure patterns")
+	}
+}
+
+// TestWithCorruptDisabledPassthrough: a non-positive Flip probability, the
+// plan that replaces WithCorrupt(t, p, seed) at p <= 0, returns the transport
+// unwrapped.
+func TestWithCorruptDisabledPassthrough(t *testing.T) {
+	base, err := NewInprocGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(base)
+	if got := WithChaos(base[0], ChaosPlan{Flip: 0, Seed: 1}); got != base[0] {
+		t.Fatal("Flip 0 should return the transport unchanged")
+	}
+	if got := WithChaos(base[0], ChaosPlan{Flip: -0.5, Seed: 1}); got != base[0] {
+		t.Fatal("negative Flip should return the transport unchanged")
+	}
+}
+
+// TestWithCorruptSeededDeterminism: under a Flip plan two runs with the same
+// seed flip the same bits of the same sends, and the plan is not inert.
+func TestWithCorruptSeededDeterminism(t *testing.T) {
+	corrupt := func(tr Transport) Transport { return WithChaos(tr, ChaosPlan{Flip: 0.3, Seed: 1234}) }
+	a, b := flipList(t, corrupt), flipList(t, corrupt)
+	if !slices.Equal(a, b) {
+		t.Fatalf("corruption stream not deterministic: %v vs %v", a, b)
+	}
+	if len(a) == 0 {
+		t.Fatal("Flip 0.3 over 64 sends flipped nothing; decorator inert")
+	}
+}
+
 // TestChaosAfterCountsEveryOp: sends and receives share one op counter, so
 // the first After ops (here two sends) pass and every later op, a receive
 // included, fails with ErrInjected under Fail 1.
